@@ -61,17 +61,20 @@ cmake --build build -j
 # paths cross worker, reaper, and scheduler threads. cache_test joins
 # both passes: the StageCache spill/restore path re-encodes partitions
 # through the checksummed run-file codec (UBSan), and cached datasets
-# are shared across concurrently scheduled plans (TSan).
+# are shared across concurrently scheduled plans (TSan). workloads_test
+# joins the UBSan pass for the shared int64 sum: its decimal parse and
+# overflow paths (the hash-mode fold, the combiner's wide total) run
+# under every engine there.
 # Both sanitizer passes also arm the WaitGraph deadlock detector
 # (-DDMB_VALIDATE=ON): every suite then runs with waiter->holder edge
 # tracking live, so a lock-cycle regression aborts with the full cycle
 # instead of hanging the runner, and validate_test exercises the
 # detector itself (injected cycles must fire, healthy workloads must
 # not).
-echo "check.sh: UBSan pass (io + shuffle + runtime + datagen + service + cache + validate tests)"
+echo "check.sh: UBSan pass (io + shuffle + runtime + datagen + service + cache + validate + workloads tests)"
 cmake -B build-ubsan -S . -DDMB_SANITIZE=undefined -DDMB_WERROR=ON -DDMB_VALIDATE=ON
-cmake --build build-ubsan -j --target io_test shuffle_test runtime_test datagen_test service_test cache_test validate_test
-(cd build-ubsan && ctest --output-on-failure -R '^(io|shuffle|runtime|datagen|service|cache|validate)_test$')
+cmake --build build-ubsan -j --target io_test shuffle_test runtime_test datagen_test service_test cache_test validate_test workloads_test
+(cd build-ubsan && ctest --output-on-failure -R '^(io|shuffle|runtime|datagen|service|cache|validate|workloads)_test$')
 
 # The pipelined narrow edges run a bounded producer/consumer channel
 # between concurrently executing stages — runtime_test must stay clean

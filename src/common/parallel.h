@@ -77,7 +77,11 @@ class ParallelContext {
   bool TryAcquireBlockSlot();
   /// \brief Blocking acquire, executing queued pool tasks inline while
   /// full (help-while-wait). Only safe for callers holding no slots
-  /// themselves. No-op when serial.
+  /// themselves and not running inline on a pool stack that may: such a
+  /// caller can wait on slots held by a frame beneath it. Spill writers
+  /// therefore never block here; with the budget empty and nothing of
+  /// their own in flight they write the block themselves. No-op when
+  /// serial.
   void AcquireBlockSlot();
   /// \brief Releases a slot acquired by either acquire form.
   void ReleaseBlockSlot();

@@ -258,9 +258,19 @@ void WaitGraph::MonitorLoop() DMB_NO_THREAD_SAFETY_ANALYSIS {
     std::vector<std::string> reports;
     for (auto it = candidates_.begin(); it != candidates_.end();) {
       std::set<std::thread::id> closure;
-      if (!BlockedClosureLocked(it->tid, &closure) ||
-          SignatureLocked(closure) != it->signature) {
-        it = candidates_.erase(it);  // somebody progressed: not stuck
+      if (!BlockedClosureLocked(it->tid, &closure)) {
+        it = candidates_.erase(it);  // somebody can run: not stuck
+        continue;
+      }
+      std::string signature = SignatureLocked(closure);
+      if (signature != it->signature) {
+        // Somebody progressed, but the closure is blocked again: confirm
+        // the new state from scratch. Dropping the candidate here would
+        // lose a real deadlock whose last park found this candidate
+        // still pending (BeginWait adds one candidate per thread).
+        it->signature = std::move(signature);
+        it->stable = 0;
+        ++it;
         continue;
       }
       if (++it->stable >= options_.confirm_rounds) {

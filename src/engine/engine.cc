@@ -123,6 +123,10 @@ Status ValidateSpec(const JobSpec& spec) {
   if (!spec.reduce_fn) {
     return Status::InvalidArgument("JobSpec.reduce_fn is not set");
   }
+  if (spec.fold && !spec.combiner) {
+    return Status::InvalidArgument(
+        "JobSpec.fold requires the combiner it stands in for");
+  }
   if (spec.parallelism < 1) {
     return Status::InvalidArgument("JobSpec.parallelism must be >= 1");
   }

@@ -1,6 +1,7 @@
 #include "engine/rdd_engine.h"
 
 #include <atomic>
+#include <functional>
 #include <memory>
 #include <utility>
 
@@ -22,19 +23,33 @@ std::pair<size_t, size_t> SplitRange(size_t n, int part, int parts) {
           n * static_cast<size_t>(part + 1) / static_cast<size_t>(parts)};
 }
 
-/// Collects map emissions of one partition into the shared shuffle
-/// collector (arena slices, not string pairs). Without a combiner the
-/// arrival order is preserved; with one, the records are sorted,
-/// grouped and combined at Take() — Spark's map-side combineByKey.
+/// Drains a grouped iterator into (key, value) pairs.
+Result<std::vector<StrPair>> DrainGroups(shuffle::KVGroupIterator* iterator) {
+  std::vector<StrPair> out;
+  std::string key;
+  std::vector<std::string> values;
+  while (iterator->NextGroup(&key, &values)) {
+    for (auto& v : values) out.emplace_back(key, std::move(v));
+  }
+  DMB_RETURN_NOT_OK(iterator->status());
+  return out;
+}
+
+/// Collects map emissions of one partition. Without a combiner the
+/// records go straight into the output in arrival order. With one they
+/// go through the shared shuffle collector, combined at Take() — Spark's
+/// map-side combineByKey: hash-aggregated on emit when the job declares
+/// a fold, sorted, grouped and combined otherwise.
 class CollectingMapContext final : public MapContext {
  public:
-  CollectingMapContext(int task_id, CombinerFn combiner,
-                       ParallelContext* parallel)
+  CollectingMapContext(int task_id, const CombinerFn& combiner,
+                       const shuffle::Fold& fold, ParallelContext* parallel)
       : task_id_(task_id) {
+    if (!combiner) return;
     shuffle::CollectorOptions copts;
     copts.num_partitions = 1;
-    copts.sort_by_key = combiner != nullptr;
-    copts.combiner = std::move(combiner);
+    copts.combiner = combiner;
+    copts.fold = fold;
     copts.on_budget = shuffle::BudgetAction::kUnbounded;
     copts.parallel = parallel;
     collector_ =
@@ -42,28 +57,32 @@ class CollectingMapContext final : public MapContext {
   }
 
   Status Emit(std::string_view key, std::string_view value) override {
+    if (collector_ == nullptr) {
+      out_.emplace_back(key, value);
+      return Status::OK();
+    }
     return collector_->Add(key, value);
   }
   int task_id() const override { return task_id_; }
 
-  int64_t records() const { return collector_->records_added(); }
-  int64_t parallel_tasks() const { return collector_->parallel_tasks(); }
+  int64_t records() const {
+    return collector_ ? collector_->records_added()
+                      : static_cast<int64_t>(out_.size());
+  }
+  int64_t parallel_tasks() const {
+    return collector_ ? collector_->parallel_tasks() : 0;
+  }
 
   Result<std::vector<StrPair>> Take() {
+    if (collector_ == nullptr) return std::move(out_);
     DMB_ASSIGN_OR_RETURN(auto iterators, collector_->FinishIterators());
-    std::vector<StrPair> out;
-    std::string key;
-    std::vector<std::string> values;
-    while (iterators[0]->NextGroup(&key, &values)) {
-      for (auto& v : values) out.emplace_back(key, std::move(v));
-    }
-    DMB_RETURN_NOT_OK(iterators[0]->status());
-    return out;
+    return DrainGroups(iterators[0].get());
   }
 
  private:
   int task_id_;
   std::unique_ptr<shuffle::PartitionedCollector> collector_;
+  std::vector<StrPair> out_;
 };
 
 /// Narrow stage: applies the user map function (plus the map-side
@@ -76,7 +95,7 @@ class MapStageRDD final : public rddlite::RDD<StrPair> {
               std::shared_ptr<const std::vector<KVPair>> input,
               std::shared_ptr<const std::vector<std::vector<KVPair>>> splits,
               std::shared_ptr<shuffle::BatchChannelGroup> stream,
-              int parts, MapFn map_fn, CombinerFn combiner,
+              int parts, MapFn map_fn, CombinerFn combiner, shuffle::Fold fold,
               ParallelContext* parallel, std::atomic<int64_t>* map_records,
               std::atomic<int64_t>* parallel_tasks)
       : RDD<StrPair>(ctx, parts),
@@ -85,13 +104,14 @@ class MapStageRDD final : public rddlite::RDD<StrPair> {
         stream_(std::move(stream)),
         map_fn_(std::move(map_fn)),
         combiner_(std::move(combiner)),
+        fold_(std::move(fold)),
         parallel_(parallel),
         map_records_(map_records),
         parallel_tasks_(parallel_tasks) {}
 
  protected:
   Result<std::vector<StrPair>> DoCompute(int p) override {
-    CollectingMapContext ctx(p, combiner_, parallel_);
+    CollectingMapContext ctx(p, combiner_, fold_, parallel_);
     if (stream_) {
       // Pipelined narrow edge: pull partition p's batches while the
       // upstream stage is still producing them.
@@ -128,6 +148,7 @@ class MapStageRDD final : public rddlite::RDD<StrPair> {
   std::shared_ptr<shuffle::BatchChannelGroup> stream_;
   MapFn map_fn_;
   CombinerFn combiner_;
+  shuffle::Fold fold_;
   ParallelContext* parallel_;
   std::atomic<int64_t>* map_records_;
   std::atomic<int64_t>* parallel_tasks_;
@@ -142,16 +163,20 @@ struct ShuffleSpillStats {
   std::atomic<int64_t> parallel_tasks{0};
 };
 
-/// Wide stage: materializes the parent once into the shared shuffle
-/// collector, which partitions on insert and sorts per partition. Two
-/// modes:
+/// Wide stage: runs the parent map stage once — every parent partition
+/// computed concurrently, as Spark's ShuffleMapStage — and writes its
+/// outputs into the shared shuffle collector in parent-partition order,
+/// so run-file names, stats and output match a serial map stage. The
+/// collector partitions on insert and sorts per partition. Two modes:
 ///   * Spark 0.8 (default): the resident bytes are reserved from the
 ///     executor MemoryManager — shuffle data is memory-resident, so
 ///     exceeding the budget fails the job with OutOfMemory.
 ///   * Spark 0.9+ (spill_past_budget): the collector owns the budget
-///     and spills sorted, checksummed run files past it; partitions are
-///     then drained lazily through the streaming k-way merge, so the
-///     resident footprint stays bounded by runs x block size.
+///     and spills sorted, checksummed run files past it.
+/// Either way each partition is drained from its merge iterator by its
+/// one consumer, outside the lock, so only the consumer ever holds the
+/// decoded records; in spill mode the resident footprint stays bounded
+/// by runs x block size.
 class ShuffleStageRDD final : public rddlite::RDD<StrPair> {
  public:
   struct Options {
@@ -178,46 +203,66 @@ class ShuffleStageRDD final : public rddlite::RDD<StrPair> {
     if (store_bytes_ > 0) this->ctx_->memory()->Release(store_bytes_);
   }
 
+  /// \brief Runs the map stage on `pool` and shuffles its output. Must
+  /// return before any partition of this RDD is computed. `on_map_failure`
+  /// runs on the failing task as soon as a map task fails (the engine
+  /// aborts a streaming input there, so siblings and the producer stop).
+  /// Returns the first failure in parent-partition order.
+  Status Materialize(ThreadPool* pool,
+                     const std::function<void(const Status&)>& on_map_failure) {
+    const size_t parents = static_cast<size_t>(parent_->num_partitions());
+    std::vector<std::vector<StrPair>> outputs(parents);
+    std::vector<Status> statuses(parents);
+    for (size_t pp = 0; pp < parents; ++pp) {
+      pool->Submit([&, pp] {
+        auto out = parent_->ComputePartition(static_cast<int>(pp));
+        if (!out.ok()) {
+          statuses[pp] = out.status();
+          on_map_failure(statuses[pp]);
+          return;
+        }
+        outputs[pp] = std::move(out).value();
+      });
+    }
+    pool->Wait();
+    MutexLock lock(mu_);
+    materialized_ = true;
+    for (const Status& st : statuses) {
+      if (!st.ok()) {
+        store_status_ = st;
+        return st;
+      }
+    }
+    store_status_ = Shuffle(&outputs);
+    return store_status_;
+  }
+
  protected:
   Result<std::vector<StrPair>> DoCompute(int p) override {
     std::unique_ptr<shuffle::KVGroupIterator> iterator;
     {
       MutexLock lock(mu_);
-      DMB_RETURN_NOT_OK(EnsureMaterializedLocked());
-      // The partition copy happens under mu_: materialization and every
-      // consumer read are ordered by the lock, not by a racy flag.
-      if (!options_.spill_past_budget) {
-        return store_[static_cast<size_t>(p)];
+      if (!materialized_) {
+        return Status::FailedPrecondition(
+            "rdd shuffle partition read before its map stage ran");
       }
-      // Spill mode: each partition is drained from its merge iterator
-      // exactly once, so only the consumer ever holds the decoded
-      // records.
+      DMB_RETURN_NOT_OK(store_status_);
       iterator = std::move(iterators_[static_cast<size_t>(p)]);
     }
     if (!iterator) {
       return Status::Internal("rdd shuffle partition drained twice");
     }
-    std::vector<StrPair> out;
-    std::string key;
-    std::vector<std::string> values;
-    while (iterator->NextGroup(&key, &values)) {
-      for (auto& v : values) out.emplace_back(key, std::move(v));
-    }
-    DMB_RETURN_NOT_OK(iterator->status());
+    auto out = DrainGroups(iterator.get());
     spill_stats_->blocks_read.fetch_add(iterator->blocks_read(),
                                         std::memory_order_relaxed);
     return out;
   }
 
  private:
-  Status EnsureMaterializedLocked() DMB_REQUIRES(mu_) {
-    if (materialized_) return store_status_;
-    materialized_ = true;
-    store_status_ = Materialize();
-    return store_status_;
-  }
-
-  Status Materialize() DMB_REQUIRES(mu_) {
+  /// Writes the map outputs into the collector in parent-partition
+  /// order, freeing each once written, and seals it.
+  Status Shuffle(std::vector<std::vector<StrPair>>* outputs)
+      DMB_REQUIRES(mu_) {
     shuffle::CollectorOptions copts;
     copts.num_partitions = this->num_partitions();
     copts.partitioner = options_.partitioner;
@@ -238,12 +283,11 @@ class ShuffleStageRDD final : public rddlite::RDD<StrPair> {
     }
     collector_ =
         std::make_unique<shuffle::PartitionedCollector>(std::move(copts));
-    for (int pp = 0; pp < parent_->num_partitions(); ++pp) {
-      DMB_ASSIGN_OR_RETURN(std::vector<StrPair> in,
-                           parent_->ComputePartition(pp));
+    for (std::vector<StrPair>& in : *outputs) {
       if (!options_.spill_past_budget) {
         // Reserve before inserting, so an over-budget job fails without
-        // first making the whole partition resident.
+        // first making the whole partition resident. The reservation is
+        // held until the stage ends.
         int64_t delta = 0;
         for (const auto& kv : in) {
           delta += static_cast<int64_t>(kv.first.size() + kv.second.size()) +
@@ -253,10 +297,11 @@ class ShuffleStageRDD final : public rddlite::RDD<StrPair> {
         store_bytes_ += delta;
       }
       DMB_RETURN_NOT_OK(collector_->AddBatch(in));
+      std::vector<StrPair>().swap(in);
     }
     shuffle_bytes_->fetch_add(collector_->encoded_input_bytes(),
                               std::memory_order_relaxed);
-    DMB_ASSIGN_OR_RETURN(auto iterators, collector_->FinishIterators());
+    DMB_ASSIGN_OR_RETURN(iterators_, collector_->FinishIterators());
     spill_stats_->spill_count.fetch_add(collector_->spill_count(),
                                         std::memory_order_relaxed);
     spill_stats_->spill_bytes_raw.fetch_add(collector_->spilled_raw_bytes(),
@@ -265,21 +310,6 @@ class ShuffleStageRDD final : public rddlite::RDD<StrPair> {
                                                 std::memory_order_relaxed);
     spill_stats_->parallel_tasks.fetch_add(collector_->parallel_tasks(),
                                            std::memory_order_relaxed);
-    if (options_.spill_past_budget) {
-      // Keep the iterators (and the collector owning their runs); each
-      // partition streams out on first DoCompute.
-      iterators_ = std::move(iterators);
-      return Status::OK();
-    }
-    store_.resize(static_cast<size_t>(this->num_partitions()));
-    std::string key;
-    std::vector<std::string> values;
-    for (size_t p = 0; p < iterators.size(); ++p) {
-      while (iterators[p]->NextGroup(&key, &values)) {
-        for (auto& v : values) store_[p].emplace_back(key, std::move(v));
-      }
-      DMB_RETURN_NOT_OK(iterators[p]->status());
-    }
     return Status::OK();
   }
 
@@ -290,13 +320,13 @@ class ShuffleStageRDD final : public rddlite::RDD<StrPair> {
   mutable Mutex mu_;
   bool materialized_ DMB_GUARDED_BY(mu_) = false;
   Status store_status_ DMB_GUARDED_BY(mu_);
-  /// Collector kept alive in spill mode: the merge iterators stream out
-  /// of its arena and run files.
+  /// The collector owning the runs (arena and spill files) the merge
+  /// iterators stream out of.
   std::unique_ptr<shuffle::PartitionedCollector> collector_
       DMB_GUARDED_BY(mu_);
+  /// One per partition, moved out by its consumer.
   std::vector<std::unique_ptr<shuffle::KVGroupIterator>> iterators_
       DMB_GUARDED_BY(mu_);
-  std::vector<std::vector<StrPair>> store_ DMB_GUARDED_BY(mu_);
   int64_t store_bytes_ DMB_GUARDED_BY(mu_) = 0;
 };
 
@@ -356,7 +386,7 @@ Result<JobOutput> RddEngine::RunStage(const JobSpec& spec) {
   ShuffleSpillStats spill_stats;
   auto mapped = std::make_shared<MapStageRDD>(
       &ctx, spec.input, spec.input_splits, spec.stream_input,
-      spec.parallelism, user_map, spec.combiner, parallel.get(),
+      spec.parallelism, user_map, spec.combiner, spec.fold, parallel.get(),
       &map_records, &spill_stats.parallel_tasks);
   auto shuffled = std::make_shared<ShuffleStageRDD>(
       mapped, spec.parallelism, std::move(shuffle_options), &shuffle_bytes,
@@ -367,7 +397,19 @@ Result<JobOutput> RddEngine::RunStage(const JobSpec& spec) {
   std::atomic<int64_t> reduce_in{0}, reduce_out{0};
   std::vector<Status> statuses(static_cast<size_t>(spec.parallelism));
   {
+    // One pool of spec.parallelism task slots runs the map tasks, then
+    // the reduce tasks.
     ThreadPool pool(spec.parallelism);
+    const Status map_status =
+        shuffled->Materialize(&pool, [&spec](const Status& st) {
+          // A failed map task aborts its streaming input: the producer
+          // stops pushing and sibling tasks stop pulling.
+          if (spec.stream_input) spec.stream_input->Cancel(st);
+        });
+    if (!map_status.ok()) {
+      if (spec.stream_output) spec.stream_output->Cancel(map_status);
+      return map_status;
+    }
     for (int p = 0; p < spec.parallelism; ++p) {
       pool.Submit([&, p] {
         auto part = shuffled->ComputePartition(p);

@@ -1,6 +1,9 @@
 // Spark-like adapter: runs an engine::JobSpec as an rddlite lineage —
 // a narrow map stage, a wide shuffle stage, and a parallel reduce over
-// the shuffled partitions. The wide stage has two modes: memory-resident
+// the shuffled partitions. As Spark schedules a ShuffleMapStage, all
+// map tasks run at once on the stage's task slots before the reduce
+// tasks; a job that declares a fold is combined on the map side in a
+// hash table (combineByKey). The wide stage has two modes: memory-resident
 // and charged against the executor MemoryManager (OutOfMemory on
 // overflow, as Spark 0.8 — the paper's behaviour), or, with
 // JobSpec::rdd_shuffle_spill, routed through the spilling shuffle

@@ -23,6 +23,7 @@
 #include "core/partitioner.h"
 #include "io/block_file.h"
 #include "shuffle/batch_channel.h"
+#include "shuffle/fold.h"
 
 namespace dmb::engine {
 
@@ -105,6 +106,12 @@ struct JobSpec {
   std::shared_ptr<const datampi::Partitioner> partitioner;
   /// Optional combiner applied to intermediate data before the shuffle.
   CombinerFn combiner;
+  /// Optional associative fold standing in for `combiner` where an
+  /// engine aggregates map output in a hash table (rddlite, as Spark's
+  /// combineByKey) instead of sorting it first; it must agree with the
+  /// combiner (shuffle/fold.h). DataMPI and MapReduce combine through
+  /// `combiner` and ignore it. Requires `combiner`.
+  shuffle::Fold fold;
   /// Group keys in sorted order at the reduce side (all engines honour
   /// sorted grouping; false permits arrival-order grouping where the
   /// engine supports it).

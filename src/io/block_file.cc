@@ -105,6 +105,10 @@ Status BlockWriter::AppendRecord(std::string_view record) {
 Status BlockWriter::FlushBlock() {
   if (pending_.empty()) return Status::OK();
   if (overlapped()) return SubmitBlockJob();
+  return WritePendingBlock();
+}
+
+Status BlockWriter::WritePendingBlock() {
   Codec codec = options_.codec;
   if (codec != Codec::kNone) {
     compressor_.Compress(codec, pending_, &scratch_);
@@ -150,9 +154,12 @@ Status BlockWriter::FlushBlock() {
 //
 // Budget: each in-flight job holds one shared inflight-block slot. A
 // writer at its cap (or finding the budget empty) retires its own front
-// job first — it never parks on the shared budget while holding
-// completed jobs only it can write, which is what makes N concurrent
-// spill writers on one budget deadlock-free.
+// job first, and with no job of its own in flight it seals the block on
+// the calling thread. It never parks on the shared budget: a writer
+// parked there may be running inline (help-while-wait) on the stack of
+// the very writer whose slots it waits for, which deadlocked concurrent
+// partition spills. Writing its own completed jobs and waiting for its
+// own compress tasks (which never block) is all a writer ever waits on.
 
 Status BlockWriter::SubmitBlockJob() {
   ParallelContext* ctx = options_.parallel;
@@ -161,15 +168,10 @@ Status BlockWriter::SubmitBlockJob() {
                                              : ctx->max_inflight_blocks());
   DMB_RETURN_NOT_OK(DrainJobs(/*all=*/false));
   while (jobs_.size() >= cap || !ctx->TryAcquireBlockSlot()) {
-    if (!jobs_.empty()) {
-      WaitJobDone(jobs_.front().get());
-      DMB_RETURN_NOT_OK(DrainJobs(/*all=*/false));
-    } else {
-      // Holding no jobs means holding no slots: blocking on the shared
-      // budget (helping the pool meanwhile) cannot deadlock.
-      ctx->AcquireBlockSlot();
-      break;
-    }
+    // Nothing of ours in flight, so writing inline keeps block order.
+    if (jobs_.empty()) return WritePendingBlock();
+    WaitJobDone(jobs_.front().get());
+    DMB_RETURN_NOT_OK(DrainJobs(/*all=*/false));
   }
 
   auto job = std::make_unique<BlockJob>();

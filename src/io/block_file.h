@@ -135,6 +135,8 @@ class BlockWriter {
   };
 
   Status FlushBlock();
+  /// Compresses and writes pending_ on the calling thread (serial path).
+  Status WritePendingBlock();
   /// Seals pending_ into a BlockJob on the pool (overlapped path).
   Status SubmitBlockJob();
   /// Writes completed jobs from the front of the pipeline; with `all`,

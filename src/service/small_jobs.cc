@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <utility>
 
+#include "workloads/int64_sum.h"
 #include "workloads/text_utils.h"
 
 namespace dmb::service {
@@ -15,12 +16,6 @@ using engine::JobSpec;
 using engine::MapContext;
 using engine::ReduceEmitter;
 using runtime::KVPair;
-
-int64_t SumCounts(const std::vector<std::string>& values) {
-  int64_t total = 0;
-  for (const std::string& v : values) total += std::atoll(v.c_str());
-  return total;
-}
 
 JobSpec BaseSpec(int parallelism, int64_t memory_budget_bytes) {
   JobSpec spec;
@@ -77,12 +72,7 @@ runtime::Plan SmallGrepPlan(
     if (matches == 0) return Status::OK();
     return ctx->Emit(key, std::to_string(matches));
   };
-  spec.reduce_fn = [](std::string_view key,
-                      const std::vector<std::string>& values,
-                      ReduceEmitter* out) -> Status {
-    out->Emit(key, std::to_string(SumCounts(values)));
-    return Status::OK();
-  };
+  spec.reduce_fn = workloads::Int64SumReduce;
   runtime::Plan plan;
   AddEntryStage(&plan, "grep", std::move(spec), std::move(input), cache_key);
   return plan;
@@ -100,16 +90,7 @@ JobSpec WordCountSpec(int parallelism, int64_t memory_budget_bytes) {
     });
     return st;
   };
-  spec.combiner = [](std::string_view,
-                     const std::vector<std::string>& values) -> std::string {
-    return std::to_string(SumCounts(values));
-  };
-  spec.reduce_fn = [](std::string_view key,
-                      const std::vector<std::string>& values,
-                      ReduceEmitter* out) -> Status {
-    out->Emit(key, std::to_string(SumCounts(values)));
-    return Status::OK();
-  };
+  workloads::UseInt64Sum(&spec);
   return spec;
 }
 

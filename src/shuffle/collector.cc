@@ -1,8 +1,11 @@
 #include "shuffle/collector.h"
 
+#include <algorithm>
+#include <cstring>
 #include <utility>
 
 #include "common/byte_buffer.h"
+#include "common/hash.h"
 #include "common/logging.h"
 #include "common/parallel.h"
 #include "common/units.h"
@@ -18,6 +21,9 @@ PartitionedCollector::PartitionedCollector(CollectorOptions options)
       spill_files_(static_cast<size_t>(options_.num_partitions)) {
   DMB_CHECK(options_.num_partitions >= 1);
   DMB_CHECK(options_.partitioner != nullptr || options_.num_partitions == 1);
+  DMB_CHECK(!hash_mode() || options_.sort_by_key);
+  DMB_CHECK(options_.fold.kind != Fold::Kind::kGeneric ||
+            options_.fold.fn != nullptr);
   // One knob arms the whole intra-task pipeline: spill writers overlap
   // block encoding on the same context unless the caller tuned them
   // separately.
@@ -35,7 +41,93 @@ const TempDir* PartitionedCollector::dir() {
 }
 
 int64_t PartitionedCollector::bytes_in_memory() const {
-  return arena_->bytes() + records_in_memory_ * kRecordOverheadBytes;
+  return arena_->bytes() + fold_acc_bytes_ +
+         records_in_memory_ * kRecordOverheadBytes;
+}
+
+namespace {
+
+/// Table size of a collector's first hash-mode Add (grows by doubling).
+constexpr size_t kInitialTableSlots = 1024;
+
+/// The 8 value bytes of a hash-mode record: a binary int64 accumulator
+/// or an index into the generic accumulators.
+int64_t LoadWord(const char* p) {
+  int64_t v;
+  std::memcpy(&v, p, sizeof(v));
+  return v;
+}
+void StoreWord(char* p, int64_t v) { std::memcpy(p, &v, sizeof(v)); }
+
+}  // namespace
+
+void PartitionedCollector::GrowTable() {
+  std::vector<TableSlot> old = std::move(table_);
+  table_.assign(old.size() * 2, TableSlot{});
+  const size_t mask = table_.size() - 1;
+  for (const TableSlot& slot : old) {
+    if (slot.key_len == kEmptySlot) continue;
+    size_t i = Hash64(arena_->Bytes(slot.key_off, slot.key_len)) & mask;
+    while (table_[i].key_len != kEmptySlot) i = (i + 1) & mask;
+    table_[i] = slot;
+  }
+}
+
+void PartitionedCollector::ClearTable() {
+  std::fill(table_.begin(), table_.end(), TableSlot{});
+  table_used_ = 0;
+  fold_accs_.clear();
+  fold_acc_bytes_ = 0;
+}
+
+Status PartitionedCollector::FoldAdd(std::string_view key,
+                                     std::string_view value) {
+  if (table_.empty()) table_.assign(kInitialTableSlots, TableSlot{});
+  const uint64_t hash = Hash64(key);
+  const uint32_t tag = static_cast<uint32_t>(hash >> 32);
+  const size_t mask = table_.size() - 1;
+  size_t i = hash & mask;
+  for (; table_[i].key_len != kEmptySlot; i = (i + 1) & mask) {
+    const TableSlot& slot = table_[i];
+    if (slot.tag != tag || slot.key_len != key.size() ||
+        arena_->Bytes(slot.key_off, key.size()) != key) {
+      continue;
+    }
+    char* word = arena_->MutableBytes(slot.key_off + slot.key_len);
+    if (options_.fold.kind == Fold::Kind::kInt64Sum) {
+      int64_t acc = LoadWord(word);
+      DMB_RETURN_NOT_OK(AddInt64(key, value, &acc));
+      StoreWord(word, acc);
+      return Status::OK();
+    }
+    std::string& acc = fold_accs_[static_cast<size_t>(LoadWord(word))];
+    const int64_t before = static_cast<int64_t>(acc.size());
+    const Status st = options_.fold.fn(key, &acc, value);
+    fold_acc_bytes_ += static_cast<int64_t>(acc.size()) - before;
+    return st;
+  }
+  // A new key: its first value is its accumulator.
+  int64_t word = 0;
+  if (options_.fold.kind == Fold::Kind::kInt64Sum) {
+    DMB_RETURN_NOT_OK(ParseInt64(key, value, &word));
+  } else {
+    word = static_cast<int64_t>(fold_accs_.size());
+    fold_accs_.emplace_back(value);
+    fold_acc_bytes_ += static_cast<int64_t>(value.size());
+  }
+  char word_bytes[sizeof(word)];
+  StoreWord(word_bytes, word);
+  const KVSlice slice =
+      arena_->Add(key, std::string_view(word_bytes, sizeof(word_bytes)));
+  const int part = options_.num_partitions == 1
+                       ? 0
+                       : options_.partitioner->Partition(
+                             key, options_.num_partitions);
+  partitions_[static_cast<size_t>(part)].push_back(slice);
+  table_[i] = TableSlot{slice.key_off, slice.key_len, tag};
+  ++records_in_memory_;
+  if (++table_used_ * 2 > table_.size()) GrowTable();
+  return Status::OK();
 }
 
 void PartitionedCollector::RouteStaged() {
@@ -60,14 +152,17 @@ Status PartitionedCollector::Add(std::string_view key,
   if (finished_) {
     return Status::FailedPrecondition("Add after Finish");
   }
-  if (options_.num_partitions == 1) {
+  if (hash_mode()) {
+    DMB_RETURN_NOT_OK(FoldAdd(key, value));
+  } else if (options_.num_partitions == 1) {
     partitions_[0].push_back(arena_->Add(key, value));
+    ++records_in_memory_;
   } else {
     staged_.push_back(arena_->Add(key, value));
+    ++records_in_memory_;
     if (staged_.size() >= kRouteBatchRecords) RouteStaged();
   }
   ++records_added_;
-  ++records_in_memory_;
   bytes_added_ += static_cast<int64_t>(key.size() + value.size());
   encoded_input_bytes_ += EncodedKVSize(key.size(), value.size());
   if (bytes_in_memory() > options_.memory_budget_bytes) {
@@ -120,6 +215,19 @@ std::vector<KVSlice> PartitionedCollector::CombineResident(size_t p,
   std::vector<KVSlice> combined;
   if (slices.empty()) return combined;
   SortSlices(&slices);
+  combined.reserve(slices.size());
+  if (hash_mode()) {
+    // The keys are distinct, so the sort ordered them by key alone.
+    const bool int64_sum = options_.fold.kind == Fold::Kind::kInt64Sum;
+    for (const KVSlice& s : slices) {
+      const int64_t word = LoadWord(arena_->ValueOf(s).data());
+      combined.push_back(out->Add(
+          arena_->KeyOf(s),
+          int64_sum ? FormatInt64(word)
+                    : fold_accs_[static_cast<size_t>(word)]));
+    }
+    return combined;
+  }
   std::vector<std::string> values;
   size_t i = 0;
   while (i < slices.size()) {
@@ -138,7 +246,7 @@ Status PartitionedCollector::ForEachResident(
     size_t p, const std::function<Status(std::string_view key,
                                          std::string_view value)>& sink) {
   auto& slices = partitions_[p];
-  if (options_.sort_by_key && options_.combiner) {
+  if (combining()) {
     KVArena combined;
     for (const KVSlice& s : CombineResident(p, &combined)) {
       DMB_RETURN_NOT_OK(sink(combined.KeyOf(s), combined.ValueOf(s)));
@@ -270,6 +378,7 @@ Status PartitionedCollector::SpillAll() {
   }
   records_in_memory_ = 0;
   arena_->Clear();
+  ClearTable();
   return Status::OK();
 }
 
@@ -280,7 +389,7 @@ PartitionedCollector::FinishIterators() {
   }
   finished_ = true;
   RouteStaged();
-  const bool combine = options_.sort_by_key && options_.combiner != nullptr;
+  const bool combine = combining();
   // Sort/combine every partition's resident slices first — the
   // CPU-heavy part of sealing, fanned out across partitions when a
   // context is available. Combine mode gets a per-partition output
@@ -335,7 +444,10 @@ PartitionedCollector::FinishIterators() {
   }
   // Once every partition is combined the pre-combine bytes are dead;
   // nothing above shares arena_ in that mode.
-  if (combine) arena_->Clear();
+  if (combine) {
+    arena_->Clear();
+    ClearTable();
+  }
   return iterators;
 }
 

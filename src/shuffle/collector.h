@@ -8,6 +8,14 @@
 // spill runs by RunMerger) or per-partition encoded runs for engines
 // that stage map output across a task barrier (Hadoop-style).
 //
+// With a Fold the collector aggregates instead of collecting (Spark's
+// map-side combineByKey): an open-addressing table over arena keys
+// folds each value into its key's accumulator on Add, so only distinct
+// keys are resident and only they get sorted when a run is produced.
+// The runs are the ones the sort + combine path yields for the same
+// records; under kSpill an over-budget table drains as one sorted run
+// per partition and starts empty.
+//
 // The budget reaction is pluggable, which is what lets JobSpec's
 // memory_budget_bytes mean the same thing on every engine: DataMPI and
 // MapReduce spill past it (kSpill); a collector that owns its budget
@@ -32,6 +40,7 @@
 #include "common/temp_dir.h"
 #include "core/partitioner.h"
 #include "io/block_file.h"
+#include "shuffle/fold.h"
 #include "shuffle/kv_arena.h"
 #include "shuffle/run_merger.h"
 
@@ -62,6 +71,9 @@ struct CollectorOptions {
   std::shared_ptr<const datampi::Partitioner> partitioner;
   /// Optional combiner applied at spill/seal time.
   CombinerFn combiner;
+  /// Optional fold: hash-aggregates on Add instead of sorting every
+  /// record (the combiner is then unused). Requires sort_by_key.
+  Fold fold;
   /// Sorted (key, value) runs and grouped merge output. When false the
   /// collector keeps arrival order, yields singleton groups, and cannot
   /// spill (kSpill degrades to kUnbounded; kFail still applies).
@@ -94,9 +106,11 @@ class PartitionedCollector {
   /// Per-record bookkeeping overhead charged against the memory budget
   /// on top of the raw key+value payload (slice + vector slot; matches
   /// the seed SpillableKVBuffer estimate so spill-trigger behaviour is
-  /// comparable). bytes_in_memory() grows by exactly
+  /// comparable). Without a fold bytes_in_memory() grows by exactly
   /// key.size() + value.size() + kRecordOverheadBytes per Add, so
   /// callers owning an external budget can reserve before inserting.
+  /// With a fold it grows only on a new key: key.size() + the
+  /// accumulator + kRecordOverheadBytes (the table slots included).
   static constexpr int64_t kRecordOverheadBytes = 32;
 
   explicit PartitionedCollector(CollectorOptions options);
@@ -146,8 +160,9 @@ class PartitionedCollector {
   int64_t records_added() const { return records_added_; }
   /// Raw key+value payload bytes added.
   int64_t bytes_added() const { return bytes_added_; }
-  /// Arena payload plus per-record bookkeeping overhead (the quantity
-  /// compared against memory_budget_bytes).
+  /// Arena payload (plus generic fold accumulators) and per-record
+  /// bookkeeping overhead (the quantity compared against
+  /// memory_budget_bytes).
   int64_t bytes_in_memory() const;
   /// Run files written to disk (pressure spills + FinishRuns flushes).
   int spill_count() const { return spill_count_; }
@@ -176,6 +191,18 @@ class PartitionedCollector {
     return options_.sort_by_key &&
            options_.on_budget == BudgetAction::kSpill;
   }
+  bool hash_mode() const { return static_cast<bool>(options_.fold); }
+  /// Runs hold one combined record per key (fold or combiner).
+  bool combining() const {
+    return options_.sort_by_key && (hash_mode() || options_.combiner);
+  }
+  /// Hash mode's Add: folds `value` into the key's accumulator, or
+  /// inserts the key with `value` as its first accumulator.
+  Status FoldAdd(std::string_view key, std::string_view value);
+  /// Doubles the table and re-places every occupied slot.
+  void GrowTable();
+  /// Empties the table and the accumulators (after a drain).
+  void ClearTable();
   /// Routes every staged slice to its partition in one batched
   /// partitioner call. Must run before anything reads partitions_
   /// (spill, combine, seal).
@@ -215,7 +242,8 @@ class PartitionedCollector {
   Status WriteAllRunFiles(std::vector<std::string>* paths);
   /// Sorts partition p's resident slices and folds each key's values
   /// through the combiner into `out`, returning the combined (sorted)
-  /// slices. Requires sort_by_key and a combiner.
+  /// slices; in hash mode sorts the distinct keys and formats their
+  /// accumulators instead. Requires combining().
   std::vector<KVSlice> CombineResident(size_t p, KVArena* out);
   Status SpillAll();
   const TempDir* dir();
@@ -230,6 +258,26 @@ class PartitionedCollector {
   std::vector<KVSlice> staged_;
   std::vector<std::string_view> staged_keys_;
   std::vector<int> staged_parts_;
+
+  /// Hash mode: one slot per distinct resident key, open addressing
+  /// with linear probing over a power-of-two table at most half full.
+  /// A slot locates its key in the arena directly; the key's record
+  /// carries 8 value bytes right after the key — the binary int64
+  /// accumulator (kInt64Sum) or the index into fold_accs_ (kGeneric) —
+  /// so a lookup and its fold touch one arena spot. The record's slice
+  /// also sits in partitions_, which the drain sorts.
+  static constexpr uint32_t kEmptySlot = ~uint32_t{0};
+  struct TableSlot {
+    uint64_t key_off = 0;
+    uint32_t key_len = kEmptySlot;
+    /// High half of the key's hash: most mismatches end here.
+    uint32_t tag = 0;
+  };
+
+  std::vector<TableSlot> table_;
+  size_t table_used_ = 0;
+  std::vector<std::string> fold_accs_;
+  int64_t fold_acc_bytes_ = 0;
 
   int64_t records_added_ = 0;
   int64_t bytes_added_ = 0;

@@ -102,6 +102,15 @@ class KVArena {
   std::string_view ValueOf(const KVSlice& s) const {
     return {data_.data() + s.val_off, s.val_len};
   }
+  /// \brief The arena bytes at [off, off + len). Add lays a record's
+  /// key and value out back to back, so the value starts at
+  /// key_off + key_len.
+  std::string_view Bytes(uint64_t off, size_t len) const {
+    return {data_.data() + off, len};
+  }
+  /// \brief Writable arena bytes at `off` (in-place accumulators: the
+  /// collector's hash mode folds into a record's value bytes).
+  char* MutableBytes(uint64_t off) { return data_.data() + off; }
 
   /// \brief Payload bytes stored (sum of key and value lengths).
   int64_t bytes() const { return static_cast<int64_t>(data_.size()); }

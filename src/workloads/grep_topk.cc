@@ -4,6 +4,7 @@
 #include <memory>
 
 #include "runtime/plan.h"
+#include "workloads/int64_sum.h"
 
 namespace dmb::workloads {
 
@@ -37,13 +38,6 @@ class FunnelPartitioner final : public datampi::Partitioner {
   int Partition(std::string_view, int) const override { return 0; }
   std::string name() const override { return "funnel"; }
 };
-
-std::string SumCombiner(std::string_view,
-                        const std::vector<std::string>& values) {
-  int64_t total = 0;
-  for (const auto& v : values) total += std::stoll(v);
-  return std::to_string(total);
-}
 
 /// Adaptive mode: re-keying width of the top-k stage, picked from the
 /// grep stage's observed output. Small match sets don't deserve P map
@@ -83,7 +77,7 @@ Result<GrepTopKResult> GrepTopK(engine::Engine& eng,
   grep.name = "grep";
   grep.job = BaseSpec(config);
   grep.job.input = engine::LinesAsInput(lines);
-  grep.job.combiner = SumCombiner;
+  UseInt64Sum(&grep.job);
   grep.job.map_fn = [compiled](std::string_view, std::string_view line,
                                engine::MapContext* ctx) -> Status {
     const int matches = compiled->CountMatches(line);
@@ -92,7 +86,6 @@ Result<GrepTopKResult> GrepTopK(engine::Engine& eng,
     }
     return Status::OK();
   };
-  grep.job.reduce_fn = engine::CombinerAsReduce(SumCombiner);
 
   // Adaptive mode: pick the top-k stage's re-keying width AFTER the
   // grep stage ran, from its observed output size and skew, instead of
@@ -135,17 +128,14 @@ Result<GrepTopKResult> GrepTopK(engine::Engine& eng,
   };
   topk.job.combiner = [](std::string_view key,
                          const std::vector<std::string>& values) {
-    if (key == kTotalKey) return SumCombiner(key, values);
+    if (key == kTotalKey) return Int64SumCombiner(key, values);
     return values.front();
   };
   auto emitted = std::make_shared<int64_t>(0);
   topk.job.reduce_fn = [k, emitted](std::string_view key,
                                     const std::vector<std::string>& values,
                                     engine::ReduceEmitter* out) -> Status {
-    if (key == kTotalKey) {
-      out->Emit(key, SumCombiner(key, values));
-      return Status::OK();
-    }
+    if (key == kTotalKey) return Int64SumReduce(key, values, out);
     if (*emitted < k) {
       ++*emitted;
       out->Emit(key, values.front());

@@ -4,6 +4,7 @@
 
 #include "common/logging.h"
 #include "datagen/seqfile.h"
+#include "workloads/int64_sum.h"
 
 namespace dmb::workloads {
 
@@ -12,13 +13,6 @@ namespace {
 using datampi::KVPair;
 using engine::JobOutput;
 using engine::JobSpec;
-
-std::string SumCombiner(std::string_view,
-                        const std::vector<std::string>& values) {
-  int64_t total = 0;
-  for (const auto& v : values) total += std::stoll(v);
-  return std::to_string(total);
-}
 
 std::map<std::string, int64_t> CountsFromPairs(
     const std::vector<KVPair>& pairs) {
@@ -71,7 +65,7 @@ Result<std::map<std::string, int64_t>> WordCount(
     const EngineConfig& config, engine::EngineStats* stats) {
   JobSpec spec = BaseSpec(config);
   spec.input = engine::LinesAsInput(lines);
-  spec.combiner = SumCombiner;
+  UseInt64Sum(&spec);
   spec.map_fn = [](std::string_view, std::string_view line,
                    engine::MapContext* ctx) -> Status {
     Status st;
@@ -80,7 +74,6 @@ Result<std::map<std::string, int64_t>> WordCount(
     });
     return st;
   };
-  spec.reduce_fn = engine::CombinerAsReduce(SumCombiner);
   DMB_ASSIGN_OR_RETURN(JobOutput out, RunSpec(eng, spec, stats));
   return CountsFromPairs(out.Merged());
 }

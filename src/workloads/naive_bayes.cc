@@ -5,6 +5,7 @@
 
 #include "common/logging.h"
 #include "runtime/plan.h"
+#include "workloads/int64_sum.h"
 #include "workloads/text_utils.h"
 
 namespace dmb::workloads {
@@ -39,13 +40,6 @@ std::string TotalKey(std::string_view label) {
   key.push_back('s');
   key.append(label);
   return key;
-}
-
-std::string SumCombiner(std::string_view,
-                        const std::vector<std::string>& values) {
-  int64_t total = 0;
-  for (const auto& v : values) total += std::stoll(v);
-  return std::to_string(total);
 }
 
 Status ApplyCountToModel(NaiveBayesModel* model, std::string_view key,
@@ -187,7 +181,7 @@ Result<NaiveBayesModel> TrainNaiveBayes(engine::Engine& eng,
   count.name = "nb-count";
   count.job = BaseSpec(config);
   count.job.input = engine::IndexInput(docs.size());
-  count.job.combiner = SumCombiner;
+  UseInt64Sum(&count.job);
   count.job.map_fn = [&docs](std::string_view, std::string_view value,
                              engine::MapContext* ctx) -> Status {
     const auto& doc = docs[std::stoull(std::string(value))];
@@ -198,7 +192,6 @@ Result<NaiveBayesModel> TrainNaiveBayes(engine::Engine& eng,
     });
     return st;
   };
-  count.job.reduce_fn = engine::CombinerAsReduce(SumCombiner);
   const int count_id = plan.AddStage(std::move(count));
 
   runtime::StageSpec summary;
@@ -220,15 +213,14 @@ Result<NaiveBayesModel> TrainNaiveBayes(engine::Engine& eng,
   // keys actually fold; everything else passes through unchanged.
   summary.job.combiner = [](std::string_view key,
                             const std::vector<std::string>& values) {
-    if (!key.empty() && key[0] == 's') return SumCombiner(key, values);
+    if (!key.empty() && key[0] == 's') return Int64SumCombiner(key, values);
     return values.front();
   };
   summary.job.reduce_fn = [](std::string_view key,
                              const std::vector<std::string>& values,
                              engine::ReduceEmitter* out) -> Status {
     if (!key.empty() && key[0] == 's') {
-      out->Emit(key, SumCombiner(key, values));
-      return Status::OK();
+      return Int64SumReduce(key, values, out);
     }
     for (const auto& v : values) out->Emit(key, v);
     return Status::OK();

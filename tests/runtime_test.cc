@@ -22,6 +22,7 @@
 #include "runtime/scheduler.h"
 #include "shuffle/batch_channel.h"
 #include "workloads/grep_topk.h"
+#include "workloads/int64_sum.h"
 #include "workloads/text_utils.h"
 
 namespace dmb::runtime {
@@ -831,6 +832,149 @@ TEST(PipelineTest, ConsumerWaitingOnProducersDescendantFallsBackToBarrier) {
     EXPECT_FALSE(out->stats.stages[2].pipelined) << info.name;
     EXPECT_FALSE(out->Merged().empty()) << info.name;
   }
+}
+
+// ---- rddlite stage execution: parallel map tasks ----
+
+/// Bounded barrier: Arrive() returns true once `parties` callers have
+/// arrived, or false after 5 s, so a test of concurrency fails instead
+/// of hanging when the tasks run one after another.
+class Rendezvous {
+ public:
+  explicit Rendezvous(int parties) : parties_(parties) {}
+
+  bool Arrive() {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    MutexLock lock(mu_);
+    ++arrived_;
+    cv_.NotifyAll();
+    while (arrived_ < parties_) {
+      if (std::chrono::steady_clock::now() >= deadline) return false;
+      cv_.WaitFor(mu_, std::chrono::milliseconds(20));
+    }
+    return true;
+  }
+
+ private:
+  const int parties_;
+  Mutex mu_;
+  CondVar cv_;
+  int arrived_ DMB_GUARDED_BY(mu_) = 0;
+};
+
+/// Records which threads ran a callback and the most that ran at once.
+class ThreadCensus {
+ public:
+  void Enter() {
+    MutexLock lock(mu_);
+    threads_.insert(std::this_thread::get_id());
+    max_running_ = std::max(max_running_, ++running_);
+  }
+  void Leave() {
+    MutexLock lock(mu_);
+    --running_;
+  }
+  size_t threads() {
+    MutexLock lock(mu_);
+    return threads_.size();
+  }
+  int max_running() {
+    MutexLock lock(mu_);
+    return max_running_;
+  }
+
+ private:
+  Mutex mu_;
+  std::set<std::thread::id> threads_ DMB_GUARDED_BY(mu_);
+  int running_ DMB_GUARDED_BY(mu_) = 0;
+  int max_running_ DMB_GUARDED_BY(mu_) = 0;
+};
+
+TEST(RddStageTest, MapTasksOfOneStageRunAtTheSameTime) {
+  constexpr int kParallelism = 3;
+  for (const bool with_combiner : {false, true}) {
+    auto rendezvous = std::make_shared<Rendezvous>(kParallelism);
+    auto census = std::make_shared<ThreadCensus>();
+    JobSpec spec = CountingJob(kParallelism);
+    spec.input = engine::LinesAsInput(RandomLines(151, 90));
+    if (with_combiner) workloads::UseInt64Sum(&spec);
+    // Each map task's first record waits for every other task's.
+    spec.map_fn = [rendezvous, census](std::string_view key,
+                                       std::string_view line,
+                                       MapContext* ctx) -> Status {
+      census->Enter();
+      Status st;
+      if (std::stoi(std::string(key)) % 30 == 0 && !rendezvous->Arrive()) {
+        st = Status::Internal("map tasks did not run at the same time");
+      }
+      workloads::ForEachToken(line, [&](std::string_view tok) {
+        if (st.ok()) st = ctx->Emit(tok, "1");
+      });
+      census->Leave();
+      return st;
+    };
+    spec.reduce_fn = [census](std::string_view key,
+                              const std::vector<std::string>& values,
+                              ReduceEmitter* out) -> Status {
+      census->Enter();
+      const Status st = SumReduce(key, values, out);
+      census->Leave();
+      return st;
+    };
+    auto out = engine::MakeEngine("rddlite").value()->Run(spec);
+    ASSERT_TRUE(out.ok()) << out.status();
+    // One pool of task slots serves both phases.
+    EXPECT_LE(census->threads(), static_cast<size_t>(kParallelism));
+    EXPECT_EQ(census->max_running(), kParallelism);
+  }
+}
+
+TEST(RddStageTest, PipelinedMapFailureEndsTheStageWhileASiblingDrains) {
+  // Partition 0's map task fails mid-stream; partition 1's producer
+  // never closes on its own, so its map task only stops draining when
+  // the failure aborts the stream. The stage must end with the map
+  // task's status verbatim.
+  shuffle::BatchChannelGroup::Options options;
+  options.partitions = 2;
+  options.batch_records = 1;
+  options.max_buffered_batches = 2;
+  auto channel = std::make_shared<shuffle::BatchChannelGroup>(options);
+  std::atomic<int64_t> sibling_pushed{0};
+  Status producer_status;
+  const auto started = std::chrono::steady_clock::now();
+  std::thread producer([&] {
+    for (int i = 0; i < 3 && producer_status.ok(); ++i) {
+      producer_status = channel->Push(0, {KVPair{"k" + std::to_string(i), "1"}});
+    }
+    if (producer_status.ok()) {
+      producer_status = channel->Push(0, {KVPair{"poison", "1"}});
+    }
+    const auto deadline = started + std::chrono::seconds(5);
+    while (producer_status.ok() && std::chrono::steady_clock::now() < deadline) {
+      producer_status = channel->Push(1, {KVPair{"s", "1"}});
+      ++sibling_pushed;
+    }
+    channel->CloseAll(Status::OK());
+  });
+
+  JobSpec spec = PassThroughJob(2);
+  spec.stream_input = channel;
+  spec.map_fn = [](std::string_view key, std::string_view value,
+                   MapContext* ctx) -> Status {
+    if (key == "poison") return Status::Internal("map boom");
+    return ctx->Emit(key, value);
+  };
+  auto out = engine::MakeEngine("rddlite").value()->Run(spec);
+  producer.join();
+  const auto elapsed = std::chrono::steady_clock::now() - started;
+  ASSERT_FALSE(out.ok());
+  EXPECT_EQ(out.status().message(), "map boom") << out.status();
+  // The abort reached the producer (its push failed with the same
+  // status) well before its 5 s fallback.
+  EXPECT_EQ(producer_status.message(), "map boom") << producer_status;
+  EXPECT_LT(elapsed, std::chrono::seconds(4));
+  EXPECT_GT(sibling_pushed.load(), 0);
 }
 
 // ---- Batch channel semantics (backpressure, cancel) ----

@@ -20,6 +20,7 @@
 #include "core/kv.h"
 #include "io/run_file.h"
 #include "shuffle/collector.h"
+#include "shuffle/fold.h"
 #include "shuffle/kv_arena.h"
 #include "shuffle/run_merger.h"
 
@@ -730,6 +731,256 @@ TEST(CollectorTest, ParallelCollectorSpillsByteIdenticalRunFiles) {
       EXPECT_EQ(it->second, bytes) << name << " threads=" << threads;
     }
   }
+}
+
+// Four partition writers spilling at once on four threads that share a
+// two-slot inflight-block budget. A writer used to park on the budget
+// while running inline (help-while-wait) on the stack of the writer
+// holding the slots it waited for; the rounds then hung in futex waits
+// (and a DMB_VALIDATE build aborted on the re-entrant acquire).
+TEST(CollectorTest, ConcurrentPartitionSpillsOnATinySlotBudgetFinish) {
+  for (int round = 0; round < 8; ++round) {
+    ParallelContext::Options parallel;
+    parallel.threads = 4;
+    parallel.max_inflight_blocks = 2;
+    parallel.parallel_sort_threshold = 1;
+    ParallelContext context(parallel);
+    CollectorOptions options;
+    options.num_partitions = 4;
+    options.partitioner = std::make_shared<datampi::HashPartitioner>();
+    options.memory_budget_bytes = 4096;
+    options.on_budget = BudgetAction::kSpill;
+    options.spill_io.block_bytes = 256;
+    options.parallel = &context;
+    PartitionedCollector collector(options);
+    Rng rng(round);
+    std::map<std::string, int> expected;
+    for (int i = 0; i < 2000; ++i) {
+      const std::string key = "key" + std::to_string(rng.Uniform(500));
+      ASSERT_TRUE(collector.Add(key, "value").ok());
+      ++expected[key];
+    }
+    auto runs = collector.FinishRuns(/*to_disk=*/true);
+    ASSERT_TRUE(runs.ok()) << runs.status();
+    EXPECT_GT(collector.spill_count(), 4) << "round " << round;
+    std::map<std::string, int> got;
+    for (auto& partition : *runs) {
+      RunMerger merger;
+      for (const auto& path : partition.run_files) {
+        ASSERT_TRUE(merger.AddFileRun(path).ok());
+      }
+      auto it = merger.Merge();
+      for (const auto& [key, values] : Drain(it.get())) {
+        got[key] += static_cast<int>(values.size());
+      }
+      ASSERT_TRUE(it->status().ok());
+    }
+    EXPECT_EQ(got, expected) << "round " << round;
+  }
+}
+
+// ---- Hash mode (Fold) against the sort + combine path ----
+
+std::string SumCombine(std::string_view key,
+                       const std::vector<std::string>& values) {
+  int64_t total = 0;
+  for (const auto& v : values) EXPECT_TRUE(AddInt64(key, v, &total).ok());
+  return FormatInt64(total);
+}
+
+/// Lexicographic max: a generic fold that is associative, commutative
+/// and leaves a single value as it is.
+std::string MaxCombine(std::string_view,
+                       const std::vector<std::string>& values) {
+  return *std::max_element(values.begin(), values.end());
+}
+Fold MaxFold() {
+  return Fold::Generic(
+      [](std::string_view, std::string* acc, std::string_view value) {
+        if (value > *acc) acc->assign(value);
+        return Status::OK();
+      });
+}
+
+/// Random records over few distinct keys (shared prefixes, empty and
+/// long keys) with small signed counts.
+std::vector<std::pair<std::string, std::string>> FoldRecords(uint64_t seed,
+                                                             int n) {
+  Rng rng(seed);
+  const int distinct = 1 + static_cast<int>(rng.Uniform(300));
+  std::vector<std::string> keys;
+  for (int i = 0; i < distinct; ++i) {
+    std::string key = rng.Bernoulli(0.5) ? "prefix-shared-" : "";
+    const int len = static_cast<int>(rng.Uniform(12));
+    for (int c = 0; c < len; ++c) {
+      key.push_back(static_cast<char>('a' + rng.Uniform(4)));
+    }
+    keys.push_back(std::move(key));
+  }
+  std::vector<std::pair<std::string, std::string>> records;
+  for (int i = 0; i < n; ++i) {
+    records.emplace_back(keys[rng.Uniform(keys.size())],
+                         std::to_string(rng.UniformRange(-5, 20)));
+  }
+  return records;
+}
+
+CollectorOptions FoldOptions(int partitions, BudgetAction action,
+                             int64_t budget, bool hash, bool max_fold) {
+  CollectorOptions options;
+  options.num_partitions = partitions;
+  if (partitions > 1) {
+    options.partitioner = std::make_shared<datampi::HashPartitioner>();
+  }
+  options.on_budget = action;
+  options.memory_budget_bytes = budget;
+  options.combiner = max_fold ? CombinerFn(MaxCombine) : SumCombine;
+  if (hash) options.fold = max_fold ? MaxFold() : Fold::Int64Sum();
+  return options;
+}
+
+// Without a spill both modes hold every record resident until the seal,
+// so the runs they produce must be the same bytes: one record per key,
+// sorted, carrying the combiner's value.
+TEST(CollectorHashModeTest, RunsAreByteIdenticalToSortModeWithoutSpill) {
+  Rng shape(71);
+  for (int trial = 0; trial < 24; ++trial) {
+    const int partitions = 1 + static_cast<int>(shape.Uniform(5));
+    const bool max_fold = trial % 3 == 2;
+    const auto records = FoldRecords(1000 + trial, 1 + static_cast<int>(
+                                                           shape.Uniform(3000)));
+    for (const BudgetAction action :
+         {BudgetAction::kUnbounded, BudgetAction::kFail, BudgetAction::kSpill}) {
+      std::vector<PartitionedCollector::PartitionRuns> runs[2];
+      for (const bool hash : {false, true}) {
+        PartitionedCollector collector(
+            FoldOptions(partitions, action, int64_t{1} << 30, hash, max_fold));
+        ASSERT_TRUE(collector.AddBatch(records).ok());
+        EXPECT_EQ(collector.records_added(),
+                  static_cast<int64_t>(records.size()));
+        EXPECT_EQ(collector.spill_count(), 0);
+        auto sealed = collector.FinishRuns(/*to_disk=*/false);
+        ASSERT_TRUE(sealed.ok()) << sealed.status();
+        runs[hash] = std::move(sealed).value();
+      }
+      ASSERT_EQ(runs[0].size(), runs[1].size());
+      for (size_t p = 0; p < runs[0].size(); ++p) {
+        EXPECT_EQ(runs[1][p].encoded_runs, runs[0][p].encoded_runs)
+            << "trial " << trial << " partition " << p;
+      }
+    }
+  }
+}
+
+// With spills the run boundaries differ (the table holds far fewer
+// bytes than the sorted records), so only the reduced result must
+// agree: every partition's groups folded once more.
+TEST(CollectorHashModeTest, SpilledRunsReduceToTheSortModeResult) {
+  Rng shape(73);
+  int hash_spills = 0;
+  for (int trial = 0; trial < 16; ++trial) {
+    const int partitions = 1 + static_cast<int>(shape.Uniform(4));
+    const bool max_fold = trial % 4 == 3;
+    const int64_t budget = 2048 + static_cast<int64_t>(shape.Uniform(8192));
+    const auto records = FoldRecords(2000 + trial, 2000);
+    std::map<std::string, std::string> reduced[2];
+    for (const bool hash : {false, true}) {
+      PartitionedCollector collector(FoldOptions(
+          partitions, BudgetAction::kSpill, budget, hash, max_fold));
+      ASSERT_TRUE(collector.AddBatch(records).ok());
+      if (hash) hash_spills += collector.spill_count();
+      auto iterators = collector.FinishIterators();
+      ASSERT_TRUE(iterators.ok()) << iterators.status();
+      for (auto& it : *iterators) {
+        for (auto& [key, values] : Drain(it.get())) {
+          ASSERT_TRUE(reduced[hash].emplace(key, max_fold
+                                                     ? MaxCombine(key, values)
+                                                     : SumCombine(key, values))
+                          .second)
+              << "key in two partitions: " << key;
+        }
+        ASSERT_TRUE(it->status().ok());
+      }
+    }
+    EXPECT_EQ(reduced[1], reduced[0]) << "trial " << trial;
+  }
+  EXPECT_GT(hash_spills, 0) << "no trial drained the table";
+}
+
+TEST(CollectorHashModeTest, OverBudgetTableDrainsAsOneSortedRun) {
+  PartitionedCollector collector(
+      FoldOptions(1, BudgetAction::kSpill, 2048, /*hash=*/true, false));
+  std::map<std::string, int64_t> expected;
+  for (int i = 0; i < 5000; ++i) {
+    const std::string key = "key" + std::to_string(i % 700);
+    ASSERT_TRUE(collector.Add(key, "1").ok());
+    ++expected[key];
+    // The table never holds more than the budget plus one entry.
+    ASSERT_LE(collector.bytes_in_memory(),
+              2048 + 16 + PartitionedCollector::kRecordOverheadBytes);
+  }
+  EXPECT_GT(collector.spill_count(), 1);
+  auto iterators = collector.FinishIterators();
+  ASSERT_TRUE(iterators.ok());
+  std::map<std::string, int64_t> got;
+  for (const auto& [key, values] : Drain((*iterators)[0].get())) {
+    // At most one partial per run: each drain wrote every key once.
+    EXPECT_LE(values.size(),
+              static_cast<size_t>(collector.spill_count()) + 1);
+    int64_t total = 0;
+    for (const auto& v : values) total += std::stoll(v);
+    got[key] = total;
+  }
+  EXPECT_EQ(got, expected);
+}
+
+TEST(CollectorHashModeTest, FailBudgetCountsDistinctKeysOnly) {
+  // 10000 records over 8 keys fit a budget the sort path exceeds.
+  for (const bool hash : {false, true}) {
+    PartitionedCollector collector(
+        FoldOptions(2, BudgetAction::kFail, 4096, hash, false));
+    Status st;
+    for (int i = 0; i < 10000 && st.ok(); ++i) {
+      st = collector.Add("k" + std::to_string(i % 8), "1");
+    }
+    if (hash) {
+      EXPECT_TRUE(st.ok()) << st;
+    } else {
+      EXPECT_TRUE(st.IsOutOfMemory()) << st;
+    }
+  }
+  // Past the budget in distinct keys the hash mode fails too.
+  PartitionedCollector collector(
+      FoldOptions(1, BudgetAction::kFail, 4096, /*hash=*/true, false));
+  Status st;
+  for (int i = 0; i < 10000 && st.ok(); ++i) {
+    st = collector.Add("k" + std::to_string(i), "1");
+  }
+  EXPECT_TRUE(st.IsOutOfMemory()) << st;
+}
+
+TEST(CollectorHashModeTest, Int64FoldRejectsBadValuesNamingTheKey) {
+  PartitionedCollector collector(
+      FoldOptions(1, BudgetAction::kUnbounded, 1 << 20, /*hash=*/true, false));
+  Status st = collector.Add("word", "x");
+  ASSERT_TRUE(st.IsInvalidArgument()) << st;
+  EXPECT_NE(st.message().find("'word'"), std::string::npos) << st;
+  ASSERT_TRUE(collector.Add("word", "9223372036854775807").ok());
+  st = collector.Add("word", "1");
+  ASSERT_TRUE(st.IsInvalidArgument()) << st;
+  EXPECT_NE(st.message().find("overflows"), std::string::npos) << st;
+  EXPECT_TRUE(collector.Add("other", "12abc").IsInvalidArgument());
+  EXPECT_TRUE(collector.Add("other", "").IsInvalidArgument());
+  EXPECT_TRUE(
+      collector.Add("other", "99999999999999999999").IsInvalidArgument());
+  // A failed Add leaves the accumulator as it was.
+  auto iterators = collector.FinishIterators();
+  ASSERT_TRUE(iterators.ok());
+  const auto groups = Drain((*iterators)[0].get());
+  ASSERT_EQ(groups.size(), 1u);
+  EXPECT_EQ(groups[0].first, "word");
+  EXPECT_EQ(groups[0].second,
+            (std::vector<std::string>{"9223372036854775807"}));
 }
 
 TEST(CollectorTest, AddAfterFinishFails) {

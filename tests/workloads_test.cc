@@ -11,6 +11,7 @@
 #include "datagen/text_generator.h"
 #include "datagen/vectors.h"
 #include "engine/registry.h"
+#include "workloads/int64_sum.h"
 #include "workloads/kmeans.h"
 #include "workloads/micro.h"
 #include "workloads/naive_bayes.h"
@@ -68,6 +69,68 @@ TEST(GrepPatternTest, CharClassAndAnchors) {
 }
 
 // ---- WordCount ----
+
+// ---- Int64 sum (the shared counting aggregation) ----
+
+TEST(Int64SumTest, FormsAgreeAndRejectBadValuesNamingTheKey) {
+  EXPECT_EQ(SumInt64("k", {"1", "-4", "10"}).value(), 7);
+  EXPECT_EQ(Int64SumCombiner("k", {"1", "-4", "10"}), "7");
+  EXPECT_EQ(Int64SumCombiner("k", {"007"}), "7");
+
+  auto bad = SumInt64("word", {"1", "x"});
+  ASSERT_TRUE(bad.status().IsInvalidArgument()) << bad.status();
+  EXPECT_NE(bad.status().message().find("'word'"), std::string::npos);
+  for (const char* v : {"", "+1", " 1", "1 ", "1.5", "0x10"}) {
+    EXPECT_TRUE(SumInt64("k", {v}).status().IsInvalidArgument()) << v;
+  }
+  const std::string max = "9223372036854775807";
+  auto overflow = SumInt64("big", {max, "1"});
+  ASSERT_TRUE(overflow.status().IsInvalidArgument());
+  EXPECT_NE(overflow.status().message().find("overflows"), std::string::npos);
+  EXPECT_TRUE(SumInt64("big", {"-9223372036854775808", "-1"})
+                  .status()
+                  .IsInvalidArgument());
+  EXPECT_EQ(SumInt64("big", {max, "-1", "1"}).value(), INT64_MAX);
+
+  // The combiner cannot fail: it hands the fault on for the reduce.
+  EXPECT_EQ(Int64SumCombiner("k", {"1", "x", "y"}), "x");
+  EXPECT_EQ(Int64SumCombiner("big", {max, max}), "18446744073709551614");
+  EXPECT_EQ(Int64SumCombiner("big", {"-9223372036854775808", "-1"}),
+            "-9223372036854775809");
+  EXPECT_TRUE(SumInt64("big", {Int64SumCombiner("big", {max, max})})
+                  .status()
+                  .IsInvalidArgument());
+}
+
+// A count that is not a number used to throw out of std::stoll on a
+// worker thread (std::terminate); every engine must fail the job
+// cleanly instead, rddlite through its fold, DataMPI and MapReduce
+// through the reduce.
+TEST(Int64SumTest, NonDecimalOrOverflowingCountsFailTheJobCleanly) {
+  for (const std::string& bad_value :
+       {std::string("x"), std::string("9223372036854775807")}) {
+    for (const auto& info : engine::Engines()) {
+      engine::JobSpec spec;
+      spec.parallelism = 2;
+      spec.input = engine::LinesAsInput({"a b", "b c", "c a", "a"});
+      UseInt64Sum(&spec);
+      spec.map_fn = [bad_value](std::string_view, std::string_view line,
+                                engine::MapContext* ctx) -> Status {
+        Status st;
+        ForEachToken(line, [&](std::string_view tok) {
+          if (st.ok()) st = ctx->Emit(tok, tok == "a" ? bad_value : "1");
+        });
+        return st;
+      };
+      auto out = info.make()->Run(spec);
+      ASSERT_FALSE(out.ok()) << info.name << " " << bad_value;
+      EXPECT_TRUE(out.status().IsInvalidArgument())
+          << info.name << ": " << out.status();
+      EXPECT_NE(out.status().message().find("'a'"), std::string::npos)
+          << info.name << ": " << out.status();
+    }
+  }
+}
 
 TEST(WordCountTest, AllEnginesAgreeWithOracle) {
   const auto lines = TestCorpus(64 * 1024);
