@@ -3,13 +3,7 @@
 #include <thread>
 #include <utility>
 
-#include "common/wait_graph.h"
-
 namespace dmb {
-
-namespace {
-constexpr char kSlotLabel[] = "inflight-block slot budget";
-}  // namespace
 
 ParallelContext::ParallelContext(Options options) {
   int threads = options.threads;
@@ -39,47 +33,15 @@ bool ParallelContext::TryAcquireBlockSlot() {
     if (block_slots_.compare_exchange_weak(slots, slots - 1,
                                            std::memory_order_acquire,
                                            std::memory_order_relaxed)) {
-      if (WaitGraph::enabled()) {
-        WaitGraph::Global().Acquired(this, kSlotLabel);
-      }
       return true;
     }
   }
   return false;
 }
 
-void ParallelContext::AcquireBlockSlot() {
-  if (!enabled()) return;
-  if (WaitGraph::enabled() && WaitGraph::Global().HeldCount(this) > 0) {
-    // The doc contract ("only safe for callers holding no slots") made
-    // machine-checkable: blocking for a slot while holding one can
-    // deadlock the budget against other writers doing the same.
-    WaitGraph::Global().Fail(
-        "WaitGraph: AcquireBlockSlot while already holding an "
-        "inflight-block slot (blocking acquire may deadlock the budget; "
-        "drain your own pipeline via TryAcquireBlockSlot instead)");
-  }
-  if (TryAcquireBlockSlot()) return;
-  WaitScope waiting(this, "ParallelContext::AcquireBlockSlot");
-  // Full: drain pool work inline until a release frees a slot. The
-  // compression tasks holding slots never block, so they always finish.
-  // RunUntil guarantees a successful TryAcquireBlockSlot is the last
-  // evaluation, so the slot it took is the one this caller owns.
-  while (!pool_->RunUntil([this] { return TryAcquireBlockSlot(); })) {
-    // Pool shut down mid-wait: ReleaseBlockSlot's wake Submit is now
-    // refused, but the slot counter itself is pool-independent and
-    // other writer threads still release — poll it.
-    if (TryAcquireBlockSlot()) return;
-    std::this_thread::yield();
-  }
-}
-
 void ParallelContext::ReleaseBlockSlot() {
   if (!enabled()) return;
-  if (WaitGraph::enabled()) WaitGraph::Global().Released(this);
   block_slots_.fetch_add(1, std::memory_order_release);
-  // Wake helpers parked in AcquireBlockSlot's RunUntil.
-  pool_->Submit([] {});
 }
 
 void TaskGroup::Run(std::function<void()> fn) {

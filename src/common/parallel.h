@@ -10,11 +10,12 @@
 // `threads` workers and one inflight-block budget instead of creating
 // N x threads of each.
 //
-// Deadlock freedom: every join in this header is help-while-wait
-// (ThreadPool::RunUntil) — a thread blocked on a TaskGroup join or a
-// Semaphore acquire executes queued pool tasks inline, so progress never
-// depends on a free worker. The one rule tasks must follow: never block
-// on anything that only the submitting thread can release.
+// Deadlock freedom: the one join in this header is help-while-wait
+// (ThreadPool::RunUntil) — a thread blocked on a TaskGroup join
+// executes queued pool tasks inline, so progress never depends on a
+// free worker — and the inflight-block budget is never waited on. The
+// one rule tasks must follow: never block on anything that only the
+// submitting thread can release.
 //
 // A null ParallelContext* (or one constructed with threads == 1) means
 // "serial" everywhere: callers fall back to their single-threaded path,
@@ -71,19 +72,13 @@ class ParallelContext {
 
   /// \brief Acquires one inflight-block slot if any is free; returns
   /// false when the budget is exhausted (always true when serial).
-  /// Writers holding completed-but-unwritten jobs must use this and
-  /// drain their own pipeline on false — blocking here while holding
-  /// slots only they can release would deadlock the budget.
+  /// There is no blocking form: a writer finding the budget empty
+  /// retires its own in-flight blocks, or writes the block itself when
+  /// it has none. Parking on the budget could deadlock: the parked
+  /// writer may be running inline (help-while-wait) on the stack of the
+  /// writer holding the slots.
   bool TryAcquireBlockSlot();
-  /// \brief Blocking acquire, executing queued pool tasks inline while
-  /// full (help-while-wait). Only safe for callers holding no slots
-  /// themselves and not running inline on a pool stack that may: such a
-  /// caller can wait on slots held by a frame beneath it. Spill writers
-  /// therefore never block here; with the budget empty and nothing of
-  /// their own in flight they write the block themselves. No-op when
-  /// serial.
-  void AcquireBlockSlot();
-  /// \brief Releases a slot acquired by either acquire form.
+  /// \brief Releases a slot acquired by TryAcquireBlockSlot.
   void ReleaseBlockSlot();
 
   /// \brief Tasks handed to the pool through TaskGroup::Run and the

@@ -111,15 +111,6 @@ void WaitGraph::ClearHolders(ResourceId res) {
   resources_.erase(rit);
 }
 
-int WaitGraph::HeldCount(ResourceId res) {
-  const std::thread::id me = std::this_thread::get_id();
-  MutexLock lock(mu_);
-  auto tit = threads_.find(me);
-  if (tit == threads_.end()) return 0;
-  auto hit = tit->second.held.find(res);
-  return hit == tit->second.held.end() ? 0 : hit->second;
-}
-
 void WaitGraph::BeginWait(ResourceId res, const std::string& label) {
   const std::thread::id me = std::this_thread::get_id();
   MutexLock lock(mu_);
@@ -298,15 +289,6 @@ void WaitGraph::InvokeFailure(const FailureHandler& handler,
     return;
   }
   DMB_CHECK(false) << report;
-}
-
-void WaitGraph::Fail(const std::string& report) {
-  FailureHandler handler;
-  {
-    MutexLock lock(mu_);
-    handler = handler_;
-  }
-  InvokeFailure(handler, report);
 }
 
 std::string WaitGraph::DebugString() {

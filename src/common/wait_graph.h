@@ -1,12 +1,11 @@
 // Runtime deadlock detection over a global wait-for graph.
 //
 // Every potentially-unbounded blocking wait in the runtime (ThreadPool
-// RunUntil/Wait, BatchChannelGroup Push/Pull, ParallelContext
-// AcquireBlockSlot, the JobServer fair-queue park, the scheduler's
-// plan-completion wait) registers a waiter->resource edge here, and
-// every party that can *satisfy* such a wait registers as a holder of
-// the resource (a pool thread running a task, a channel's producer /
-// consumer, an inflight-slot owner, a worker running a job). When a
+// RunUntil/Wait, BatchChannelGroup Push/Pull, the JobServer fair-queue
+// park, the scheduler's plan-completion wait) registers a
+// waiter->resource edge here, and every party that can *satisfy* such a
+// wait registers as a holder of the resource (a pool thread running a
+// task, a channel's producer / consumer, a worker running a job). When a
 // BeginWait closes a fully-blocked closure — the waiter, every holder
 // of its awaited resource, every holder of *their* awaited resources,
 // and so on, are all blocked — a background monitor re-verifies the
@@ -86,22 +85,15 @@ class WaitGraph {
   /// anyone — e.g. a closed channel partition).
   void ClearHolders(ResourceId res);
 
-  /// Units of `res` held by the calling thread (discipline checks).
-  int HeldCount(ResourceId res);
-
   /// The calling thread is about to block waiting for `res`. Runs
   /// cycle detection; candidates are handed to the confirmation
   /// monitor, and the caller proceeds into its real wait either way
   /// (a true deadlock keeps it parked until the report fires). Waits
-  /// may nest (AcquireBlockSlot parks inside RunUntil): the outermost
-  /// wait is the semantic edge.
+  /// may nest (a task that RunUntil runs inline may park again): the
+  /// outermost wait is the semantic edge.
   void BeginWait(ResourceId res, const std::string& label);
   /// The wait returned (woken, satisfied, or cancelled).
   void EndWait();
-
-  /// Reports an acquisition-discipline violation through the failure
-  /// handler (abort by default), e.g. re-entrant slot acquisition.
-  void Fail(const std::string& report);
 
   /// Human-readable dump of the current graph (diagnostics/tests).
   std::string DebugString();

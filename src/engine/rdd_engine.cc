@@ -3,8 +3,10 @@
 #include <atomic>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <utility>
 
+#include "common/in_order_queue.h"
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
 #include "common/thread_pool.h"
@@ -166,8 +168,11 @@ struct ShuffleSpillStats {
 /// Wide stage: runs the parent map stage once — every parent partition
 /// computed concurrently, as Spark's ShuffleMapStage — and writes its
 /// outputs into the shared shuffle collector in parent-partition order,
-/// so run-file names, stats and output match a serial map stage. The
-/// collector partitions on insert and sorts per partition. Two modes:
+/// so run-file names, stats and output match a serial map stage. Each
+/// output is written and freed as soon as every output before it is in,
+/// so only the outputs that finished ahead of an earlier one wait
+/// resident. The collector partitions on insert and sorts per
+/// partition. Two modes:
 ///   * Spark 0.8 (default): the resident bytes are reserved from the
 ///     executor MemoryManager — shuffle data is memory-resident, so
 ///     exceeding the budget fails the job with OutOfMemory.
@@ -211,18 +216,36 @@ class ShuffleStageRDD final : public rddlite::RDD<StrPair> {
   Status Materialize(ThreadPool* pool,
                      const std::function<void(const Status&)>& on_map_failure) {
     const size_t parents = static_cast<size_t>(parent_->num_partitions());
-    std::vector<std::vector<StrPair>> outputs(parents);
+    InOrderQueue<std::vector<StrPair>> outputs(parents);
     std::vector<Status> statuses(parents);
     for (size_t pp = 0; pp < parents; ++pp) {
       pool->Submit([&, pp] {
         auto out = parent_->ComputePartition(static_cast<int>(pp));
         if (!out.ok()) {
           statuses[pp] = out.status();
+          outputs.Stop();  // the stage fails: shuffle nothing more
           on_map_failure(statuses[pp]);
           return;
         }
-        outputs[pp] = std::move(out).value();
+        outputs.Put(pp, std::move(out).value());
       });
+    }
+    // The map tasks only compute; this thread writes their outputs in
+    // order while later tasks still run. Writing from the task threads
+    // instead spreads the collector's allocations over every task
+    // thread's malloc arena, which raises peak RSS.
+    Status inserted;
+    {
+      MutexLock lock(mu_);
+      collector_ = MakeCollector();
+    }
+    while (std::optional<std::vector<StrPair>> out = outputs.Next()) {
+      MutexLock lock(mu_);
+      inserted = Insert(*out);
+      if (!inserted.ok()) {
+        outputs.Stop();
+        break;
+      }
     }
     pool->Wait();
     MutexLock lock(mu_);
@@ -233,7 +256,7 @@ class ShuffleStageRDD final : public rddlite::RDD<StrPair> {
         return st;
       }
     }
-    store_status_ = Shuffle(&outputs);
+    store_status_ = inserted.ok() ? Seal() : inserted;
     return store_status_;
   }
 
@@ -259,10 +282,7 @@ class ShuffleStageRDD final : public rddlite::RDD<StrPair> {
   }
 
  private:
-  /// Writes the map outputs into the collector in parent-partition
-  /// order, freeing each once written, and seals it.
-  Status Shuffle(std::vector<std::vector<StrPair>>* outputs)
-      DMB_REQUIRES(mu_) {
+  std::unique_ptr<shuffle::PartitionedCollector> MakeCollector() const {
     shuffle::CollectorOptions copts;
     copts.num_partitions = this->num_partitions();
     copts.partitioner = options_.partitioner;
@@ -281,24 +301,28 @@ class ShuffleStageRDD final : public rddlite::RDD<StrPair> {
       // spills or fails.
       copts.on_budget = shuffle::BudgetAction::kUnbounded;
     }
-    collector_ =
-        std::make_unique<shuffle::PartitionedCollector>(std::move(copts));
-    for (std::vector<StrPair>& in : *outputs) {
-      if (!options_.spill_past_budget) {
-        // Reserve before inserting, so an over-budget job fails without
-        // first making the whole partition resident. The reservation is
-        // held until the stage ends.
-        int64_t delta = 0;
-        for (const auto& kv : in) {
-          delta += static_cast<int64_t>(kv.first.size() + kv.second.size()) +
-                   shuffle::PartitionedCollector::kRecordOverheadBytes;
-        }
-        DMB_RETURN_NOT_OK(this->ctx_->memory()->Reserve(delta));
-        store_bytes_ += delta;
+    return std::make_unique<shuffle::PartitionedCollector>(std::move(copts));
+  }
+
+  /// Writes one map output into the collector.
+  Status Insert(const std::vector<StrPair>& in) DMB_REQUIRES(mu_) {
+    if (!options_.spill_past_budget) {
+      // Reserve before inserting, so an over-budget job fails without
+      // first making the whole partition resident. The reservation is
+      // held until the stage ends.
+      int64_t delta = 0;
+      for (const auto& kv : in) {
+        delta += static_cast<int64_t>(kv.first.size() + kv.second.size()) +
+                 shuffle::PartitionedCollector::kRecordOverheadBytes;
       }
-      DMB_RETURN_NOT_OK(collector_->AddBatch(in));
-      std::vector<StrPair>().swap(in);
+      DMB_RETURN_NOT_OK(this->ctx_->memory()->Reserve(delta));
+      store_bytes_ += delta;
     }
+    return collector_->AddBatch(in);
+  }
+
+  /// Seals the collector once every map output is in.
+  Status Seal() DMB_REQUIRES(mu_) {
     shuffle_bytes_->fetch_add(collector_->encoded_input_bytes(),
                               std::memory_order_relaxed);
     DMB_ASSIGN_OR_RETURN(iterators_, collector_->FinishIterators());

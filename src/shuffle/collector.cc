@@ -22,8 +22,6 @@ PartitionedCollector::PartitionedCollector(CollectorOptions options)
   DMB_CHECK(options_.num_partitions >= 1);
   DMB_CHECK(options_.partitioner != nullptr || options_.num_partitions == 1);
   DMB_CHECK(!hash_mode() || options_.sort_by_key);
-  DMB_CHECK(options_.fold.kind != Fold::Kind::kGeneric ||
-            options_.fold.fn != nullptr);
   // One knob arms the whole intra-task pipeline: spill writers overlap
   // block encoding on the same context unless the caller tuned them
   // separately.
@@ -41,17 +39,19 @@ const TempDir* PartitionedCollector::dir() {
 }
 
 int64_t PartitionedCollector::bytes_in_memory() const {
-  return arena_->bytes() + fold_acc_bytes_ +
-         records_in_memory_ * kRecordOverheadBytes;
+  return arena_->bytes() + records_in_memory_ * kRecordOverheadBytes +
+         static_cast<int64_t>(table_.capacity() * sizeof(TableSlot));
 }
 
 namespace {
 
-/// Table size of a collector's first hash-mode Add (grows by doubling).
-constexpr size_t kInitialTableSlots = 1024;
+/// Table size of a collector's first hash-mode Add (grows by doubling);
+/// small, because the table counts against the budget and restarts at
+/// this size after every drain.
+constexpr size_t kInitialTableSlots = 64;
 
-/// The 8 value bytes of a hash-mode record: a binary int64 accumulator
-/// or an index into the generic accumulators.
+/// The 8 value bytes of a hash-mode record: its binary int64
+/// accumulator.
 int64_t LoadWord(const char* p) {
   int64_t v;
   std::memcpy(&v, p, sizeof(v));
@@ -74,10 +74,8 @@ void PartitionedCollector::GrowTable() {
 }
 
 void PartitionedCollector::ClearTable() {
-  std::fill(table_.begin(), table_.end(), TableSlot{});
+  std::vector<TableSlot>().swap(table_);
   table_used_ = 0;
-  fold_accs_.clear();
-  fold_acc_bytes_ = 0;
 }
 
 Status PartitionedCollector::FoldAdd(std::string_view key,
@@ -94,27 +92,14 @@ Status PartitionedCollector::FoldAdd(std::string_view key,
       continue;
     }
     char* word = arena_->MutableBytes(slot.key_off + slot.key_len);
-    if (options_.fold.kind == Fold::Kind::kInt64Sum) {
-      int64_t acc = LoadWord(word);
-      DMB_RETURN_NOT_OK(AddInt64(key, value, &acc));
-      StoreWord(word, acc);
-      return Status::OK();
-    }
-    std::string& acc = fold_accs_[static_cast<size_t>(LoadWord(word))];
-    const int64_t before = static_cast<int64_t>(acc.size());
-    const Status st = options_.fold.fn(key, &acc, value);
-    fold_acc_bytes_ += static_cast<int64_t>(acc.size()) - before;
-    return st;
+    int64_t acc = LoadWord(word);
+    DMB_RETURN_NOT_OK(AddInt64(key, value, &acc));
+    StoreWord(word, acc);
+    return Status::OK();
   }
   // A new key: its first value is its accumulator.
   int64_t word = 0;
-  if (options_.fold.kind == Fold::Kind::kInt64Sum) {
-    DMB_RETURN_NOT_OK(ParseInt64(key, value, &word));
-  } else {
-    word = static_cast<int64_t>(fold_accs_.size());
-    fold_accs_.emplace_back(value);
-    fold_acc_bytes_ += static_cast<int64_t>(value.size());
-  }
+  DMB_RETURN_NOT_OK(ParseInt64(key, value, &word));
   char word_bytes[sizeof(word)];
   StoreWord(word_bytes, word);
   const KVSlice slice =
@@ -218,13 +203,9 @@ std::vector<KVSlice> PartitionedCollector::CombineResident(size_t p,
   combined.reserve(slices.size());
   if (hash_mode()) {
     // The keys are distinct, so the sort ordered them by key alone.
-    const bool int64_sum = options_.fold.kind == Fold::Kind::kInt64Sum;
     for (const KVSlice& s : slices) {
-      const int64_t word = LoadWord(arena_->ValueOf(s).data());
       combined.push_back(out->Add(
-          arena_->KeyOf(s),
-          int64_sum ? FormatInt64(word)
-                    : fold_accs_[static_cast<size_t>(word)]));
+          arena_->KeyOf(s), FormatInt64(LoadWord(arena_->ValueOf(s).data()))));
     }
     return combined;
   }

@@ -109,8 +109,9 @@ class PartitionedCollector {
   /// comparable). Without a fold bytes_in_memory() grows by exactly
   /// key.size() + value.size() + kRecordOverheadBytes per Add, so
   /// callers owning an external budget can reserve before inserting.
-  /// With a fold it grows only on a new key: key.size() + the
-  /// accumulator + kRecordOverheadBytes (the table slots included).
+  /// With a fold it grows only on a new key, by key.size() + 8 (the
+  /// binary accumulator) + kRecordOverheadBytes, and by the hash
+  /// table's slots, which double when the table is half full.
   static constexpr int64_t kRecordOverheadBytes = 32;
 
   explicit PartitionedCollector(CollectorOptions options);
@@ -160,9 +161,8 @@ class PartitionedCollector {
   int64_t records_added() const { return records_added_; }
   /// Raw key+value payload bytes added.
   int64_t bytes_added() const { return bytes_added_; }
-  /// Arena payload (plus generic fold accumulators) and per-record
-  /// bookkeeping overhead (the quantity compared against
-  /// memory_budget_bytes).
+  /// Arena payload, per-record bookkeeping overhead and hash-mode table
+  /// slots (the quantity compared against memory_budget_bytes).
   int64_t bytes_in_memory() const;
   /// Run files written to disk (pressure spills + FinishRuns flushes).
   int spill_count() const { return spill_count_; }
@@ -201,7 +201,8 @@ class PartitionedCollector {
   Status FoldAdd(std::string_view key, std::string_view value);
   /// Doubles the table and re-places every occupied slot.
   void GrowTable();
-  /// Empties the table and the accumulators (after a drain).
+  /// Frees the table (after a drain): the next Add starts it small, so
+  /// a drained collector holds no table memory.
   void ClearTable();
   /// Routes every staged slice to its partition in one batched
   /// partitioner call. Must run before anything reads partitions_
@@ -262,10 +263,9 @@ class PartitionedCollector {
   /// Hash mode: one slot per distinct resident key, open addressing
   /// with linear probing over a power-of-two table at most half full.
   /// A slot locates its key in the arena directly; the key's record
-  /// carries 8 value bytes right after the key — the binary int64
-  /// accumulator (kInt64Sum) or the index into fold_accs_ (kGeneric) —
-  /// so a lookup and its fold touch one arena spot. The record's slice
-  /// also sits in partitions_, which the drain sorts.
+  /// carries its binary int64 accumulator as 8 value bytes right after
+  /// the key, so a lookup and its fold touch one arena spot. The
+  /// record's slice also sits in partitions_, which the drain sorts.
   static constexpr uint32_t kEmptySlot = ~uint32_t{0};
   struct TableSlot {
     uint64_t key_off = 0;
@@ -276,8 +276,6 @@ class PartitionedCollector {
 
   std::vector<TableSlot> table_;
   size_t table_used_ = 0;
-  std::vector<std::string> fold_accs_;
-  int64_t fold_acc_bytes_ = 0;
 
   int64_t records_added_ = 0;
   int64_t bytes_added_ = 0;

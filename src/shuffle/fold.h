@@ -7,16 +7,14 @@
 // only the distinct keys. A job declares a fold next to its combiner
 // (engines without a hash mode keep using the combiner), so the two
 // must agree: folding a key's values in any order must give the
-// combiner's result for the same values, and a key seen once keeps its
-// value as is. The int64 sum has a fast path: values parse with
-// std::from_chars into a binary accumulator that is formatted once,
-// when the table drains.
+// combiner's result for the same values. The one fold so far is the
+// int64 sum: values parse with std::from_chars into a binary
+// accumulator that is formatted once, when the table drains.
 
 #ifndef DATAMPI_BENCH_SHUFFLE_FOLD_H_
 #define DATAMPI_BENCH_SHUFFLE_FOLD_H_
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <string_view>
 
@@ -24,23 +22,13 @@
 
 namespace dmb::shuffle {
 
-/// \brief Folds `value` into `*acc`, the accumulator of `key` (it starts
-/// as the key's first value). A non-OK status fails the Add that
-/// carried the value.
-using FoldFn = std::function<Status(std::string_view key, std::string* acc,
-                                    std::string_view value)>;
-
-/// \brief A declared fold: none, the int64-sum fast path, or a generic
-/// string accumulator.
+/// \brief A declared fold: none or the int64 sum.
 struct Fold {
-  enum class Kind { kNone, kInt64Sum, kGeneric };
+  enum class Kind { kNone, kInt64Sum };
 
   Kind kind = Kind::kNone;
-  /// The generic fold (kGeneric only).
-  FoldFn fn;
 
-  static Fold Int64Sum() { return Fold{Kind::kInt64Sum, nullptr}; }
-  static Fold Generic(FoldFn fn) { return Fold{Kind::kGeneric, std::move(fn)}; }
+  static Fold Int64Sum() { return Fold{Kind::kInt64Sum}; }
 
   explicit operator bool() const { return kind != Kind::kNone; }
 };

@@ -156,49 +156,37 @@ TEST(EngineRunTest, IdenticalGroupedOutputAndPopulatedStats) {
 }
 
 // A declared fold is a faster way to the combiner's result, never a
-// different one: with the int64 fast path and with a generic fold, every
+// different one: with unit counts and with multi-digit weights, every
 // engine's partitions must be the same bytes as with the combiner alone
 // (rddlite hash-aggregates; DataMPI and MapReduce ignore the fold).
 TEST(EngineRunTest, DeclaredFoldMatchesThePlainCombinerByteForByte) {
   const auto lines = RandomLines(/*seed=*/77, /*n=*/600);
-  auto max_combiner = [](std::string_view,
-                         const std::vector<std::string>& vs) {
-    return *std::max_element(vs.begin(), vs.end());
-  };
   for (const auto& info : Engines()) {
     for (const int parallelism : {1, 3}) {
-      for (const bool generic : {false, true}) {
+      for (const bool weighted : {false, true}) {
         JobSpec plain = CountingSpec(lines);
         plain.parallelism = parallelism;
-        if (generic) {
-          // Each word's value is its longest line; the fold keeps the max.
+        if (weighted) {
+          // Each word counts with its line's length.
           plain.map_fn = [](std::string_view, std::string_view line,
                             MapContext* ctx) -> Status {
+            const std::string weight = std::to_string(line.size());
             Status st;
             workloads::ForEachToken(line, [&](std::string_view tok) {
-              if (st.ok()) st = ctx->Emit(tok, line);
+              if (st.ok()) st = ctx->Emit(tok, weight);
             });
             return st;
           };
-          plain.combiner = max_combiner;
-          plain.reduce_fn = CombinerAsReduce(max_combiner);
         }
         JobSpec folded = plain;
-        folded.fold =
-            generic ? shuffle::Fold::Generic([](std::string_view,
-                                                std::string* acc,
-                                                std::string_view v) {
-              if (v > *acc) acc->assign(v);
-              return Status::OK();
-            })
-                    : shuffle::Fold::Int64Sum();
+        folded.fold = shuffle::Fold::Int64Sum();
         auto want = info.make()->Run(plain);
         ASSERT_TRUE(want.ok()) << info.name << ": " << want.status();
         auto got = info.make()->Run(folded);
         ASSERT_TRUE(got.ok()) << info.name << ": " << got.status();
         EXPECT_EQ(got->partitions, want->partitions)
-            << info.name << " parallelism " << parallelism << " generic "
-            << generic;
+            << info.name << " parallelism " << parallelism << " weighted "
+            << weighted;
         EXPECT_EQ(got->stats.map_output_records,
                   want->stats.map_output_records)
             << info.name;

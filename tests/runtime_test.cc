@@ -11,11 +11,13 @@
 #include <chrono>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <thread>
 
 #include <gtest/gtest.h>
 
+#include "common/in_order_queue.h"
 #include "common/mutex.h"
 #include "common/random.h"
 #include "engine/registry.h"
@@ -978,6 +980,62 @@ TEST(RddStageTest, PipelinedMapFailureEndsTheStageWhileASiblingDrains) {
 }
 
 // ---- Batch channel semantics (backpressure, cancel) ----
+
+// rddlite's wide stage writes its map outputs into the collector through
+// an InOrderQueue: parent-partition order, each output as soon as every
+// earlier one is in, so only outputs that finished early stay resident.
+TEST(InOrderQueueTest, HandsOutEachItemAsSoonAsEveryEarlierOneIsTaken) {
+  InOrderQueue<int> queue(3);
+  queue.Put(1, 10);
+  EXPECT_EQ(queue.held(), 1u);
+  queue.Put(0, 0);
+  EXPECT_EQ(queue.Next(), std::optional<int>(0));
+  EXPECT_EQ(queue.held(), 1u) << "item 1 waits for its turn only";
+  EXPECT_EQ(queue.Next(), std::optional<int>(10));
+  EXPECT_EQ(queue.held(), 0u);
+  queue.Put(2, 20);
+  EXPECT_EQ(queue.Next(), std::optional<int>(20));
+  EXPECT_EQ(queue.Next(), std::nullopt) << "every item taken";
+}
+
+TEST(InOrderQueueTest, StopDropsHeldAndLaterItemsAndEndsAWaitingNext) {
+  InOrderQueue<int> queue(3);
+  queue.Put(1, 10);
+  std::optional<int> got = 0;
+  std::thread consumer([&queue, &got] { got = queue.Next(); });
+  // The consumer waits for item 0, which never comes.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  queue.Stop();
+  consumer.join();
+  EXPECT_EQ(got, std::nullopt);
+  EXPECT_EQ(queue.held(), 0u);
+  queue.Put(0, 0);
+  EXPECT_EQ(queue.held(), 0u);
+  EXPECT_EQ(queue.Next(), std::nullopt);
+}
+
+TEST(InOrderQueueTest, ConcurrentProducersStillComeOutInOrder) {
+  constexpr int kThreads = 4;
+  constexpr int kItems = 400;
+  InOrderQueue<int> queue(kItems);
+  std::vector<std::thread> producers;
+  for (int t = 0; t < kThreads; ++t) {
+    // Each producer puts its share from the back, so most items arrive
+    // ahead of an earlier one.
+    producers.emplace_back([&queue, t] {
+      for (int i = kItems - kThreads + t; i >= 0; i -= kThreads) {
+        queue.Put(static_cast<size_t>(i), i);
+      }
+    });
+  }
+  std::vector<int> got;
+  while (std::optional<int> item = queue.Next()) got.push_back(*item);
+  for (auto& p : producers) p.join();
+  std::vector<int> want(kItems);
+  for (int i = 0; i < kItems; ++i) want[static_cast<size_t>(i)] = i;
+  EXPECT_EQ(got, want);
+  EXPECT_EQ(queue.held(), 0u);
+}
 
 TEST(BatchChannelTest, SlowConsumerNeverBuffersMoreThanTheBound) {
   shuffle::BatchChannelGroup::Options options;

@@ -788,24 +788,12 @@ std::string SumCombine(std::string_view key,
   return FormatInt64(total);
 }
 
-/// Lexicographic max: a generic fold that is associative, commutative
-/// and leaves a single value as it is.
-std::string MaxCombine(std::string_view,
-                       const std::vector<std::string>& values) {
-  return *std::max_element(values.begin(), values.end());
-}
-Fold MaxFold() {
-  return Fold::Generic(
-      [](std::string_view, std::string* acc, std::string_view value) {
-        if (value > *acc) acc->assign(value);
-        return Status::OK();
-      });
-}
-
 /// Random records over few distinct keys (shared prefixes, empty and
-/// long keys) with small signed counts.
+/// long keys) with small signed counts, or with `wide` ones of up to
+/// 13 digits.
 std::vector<std::pair<std::string, std::string>> FoldRecords(uint64_t seed,
-                                                             int n) {
+                                                             int n,
+                                                             bool wide) {
   Rng rng(seed);
   const int distinct = 1 + static_cast<int>(rng.Uniform(300));
   std::vector<std::string> keys;
@@ -819,14 +807,16 @@ std::vector<std::pair<std::string, std::string>> FoldRecords(uint64_t seed,
   }
   std::vector<std::pair<std::string, std::string>> records;
   for (int i = 0; i < n; ++i) {
-    records.emplace_back(keys[rng.Uniform(keys.size())],
-                         std::to_string(rng.UniformRange(-5, 20)));
+    const int64_t bound = wide ? int64_t{1000000000000} : 20;
+    records.emplace_back(
+        keys[rng.Uniform(keys.size())],
+        std::to_string(rng.UniformRange(wide ? -bound : -5, bound)));
   }
   return records;
 }
 
 CollectorOptions FoldOptions(int partitions, BudgetAction action,
-                             int64_t budget, bool hash, bool max_fold) {
+                             int64_t budget, bool hash) {
   CollectorOptions options;
   options.num_partitions = partitions;
   if (partitions > 1) {
@@ -834,8 +824,8 @@ CollectorOptions FoldOptions(int partitions, BudgetAction action,
   }
   options.on_budget = action;
   options.memory_budget_bytes = budget;
-  options.combiner = max_fold ? CombinerFn(MaxCombine) : SumCombine;
-  if (hash) options.fold = max_fold ? MaxFold() : Fold::Int64Sum();
+  options.combiner = SumCombine;
+  if (hash) options.fold = Fold::Int64Sum();
   return options;
 }
 
@@ -846,15 +836,15 @@ TEST(CollectorHashModeTest, RunsAreByteIdenticalToSortModeWithoutSpill) {
   Rng shape(71);
   for (int trial = 0; trial < 24; ++trial) {
     const int partitions = 1 + static_cast<int>(shape.Uniform(5));
-    const bool max_fold = trial % 3 == 2;
-    const auto records = FoldRecords(1000 + trial, 1 + static_cast<int>(
-                                                           shape.Uniform(3000)));
+    const auto records =
+        FoldRecords(1000 + trial, 1 + static_cast<int>(shape.Uniform(3000)),
+                    /*wide=*/trial % 3 == 2);
     for (const BudgetAction action :
          {BudgetAction::kUnbounded, BudgetAction::kFail, BudgetAction::kSpill}) {
       std::vector<PartitionedCollector::PartitionRuns> runs[2];
       for (const bool hash : {false, true}) {
         PartitionedCollector collector(
-            FoldOptions(partitions, action, int64_t{1} << 30, hash, max_fold));
+            FoldOptions(partitions, action, int64_t{1} << 30, hash));
         ASSERT_TRUE(collector.AddBatch(records).ok());
         EXPECT_EQ(collector.records_added(),
                   static_cast<int64_t>(records.size()));
@@ -880,23 +870,20 @@ TEST(CollectorHashModeTest, SpilledRunsReduceToTheSortModeResult) {
   int hash_spills = 0;
   for (int trial = 0; trial < 16; ++trial) {
     const int partitions = 1 + static_cast<int>(shape.Uniform(4));
-    const bool max_fold = trial % 4 == 3;
     const int64_t budget = 2048 + static_cast<int64_t>(shape.Uniform(8192));
-    const auto records = FoldRecords(2000 + trial, 2000);
+    const auto records =
+        FoldRecords(2000 + trial, 2000, /*wide=*/trial % 4 == 3);
     std::map<std::string, std::string> reduced[2];
     for (const bool hash : {false, true}) {
-      PartitionedCollector collector(FoldOptions(
-          partitions, BudgetAction::kSpill, budget, hash, max_fold));
+      PartitionedCollector collector(
+          FoldOptions(partitions, BudgetAction::kSpill, budget, hash));
       ASSERT_TRUE(collector.AddBatch(records).ok());
       if (hash) hash_spills += collector.spill_count();
       auto iterators = collector.FinishIterators();
       ASSERT_TRUE(iterators.ok()) << iterators.status();
       for (auto& it : *iterators) {
         for (auto& [key, values] : Drain(it.get())) {
-          ASSERT_TRUE(reduced[hash].emplace(key, max_fold
-                                                     ? MaxCombine(key, values)
-                                                     : SumCombine(key, values))
-                          .second)
+          ASSERT_TRUE(reduced[hash].emplace(key, SumCombine(key, values)).second)
               << "key in two partitions: " << key;
         }
         ASSERT_TRUE(it->status().ok());
@@ -909,15 +896,20 @@ TEST(CollectorHashModeTest, SpilledRunsReduceToTheSortModeResult) {
 
 TEST(CollectorHashModeTest, OverBudgetTableDrainsAsOneSortedRun) {
   PartitionedCollector collector(
-      FoldOptions(1, BudgetAction::kSpill, 2048, /*hash=*/true, false));
+      FoldOptions(1, BudgetAction::kSpill, 2048, /*hash=*/true));
   std::map<std::string, int64_t> expected;
+  int spills = 0;
   for (int i = 0; i < 5000; ++i) {
     const std::string key = "key" + std::to_string(i % 700);
     ASSERT_TRUE(collector.Add(key, "1").ok());
     ++expected[key];
-    // The table never holds more than the budget plus one entry.
-    ASSERT_LE(collector.bytes_in_memory(),
-              2048 + 16 + PartitionedCollector::kRecordOverheadBytes);
+    // The table never holds more than the budget...
+    ASSERT_LE(collector.bytes_in_memory(), 2048);
+    if (collector.spill_count() != spills) {
+      // ...and a drain frees everything, the table's slots included.
+      spills = collector.spill_count();
+      ASSERT_EQ(collector.bytes_in_memory(), 0);
+    }
   }
   EXPECT_GT(collector.spill_count(), 1);
   auto iterators = collector.FinishIterators();
@@ -934,11 +926,29 @@ TEST(CollectorHashModeTest, OverBudgetTableDrainsAsOneSortedRun) {
   EXPECT_EQ(got, expected);
 }
 
+TEST(CollectorHashModeTest, TableSlotsCountAgainstTheBudget) {
+  PartitionedCollector collector(
+      FoldOptions(1, BudgetAction::kSpill, int64_t{1} << 30, /*hash=*/true));
+  // Each distinct key costs its arena record (key + an 8-byte
+  // accumulator + the bookkeeping overhead)...
+  int64_t records = 0;
+  for (int i = 0; i < 5000; ++i) {
+    const std::string key = "key" + std::to_string(i);
+    ASSERT_TRUE(collector.Add(key, "1").ok());
+    ASSERT_TRUE(collector.Add(key, "2").ok());
+    records += static_cast<int64_t>(key.size()) + 8 +
+               PartitionedCollector::kRecordOverheadBytes;
+  }
+  // ...plus its share of a table at most half full of 16-byte slots.
+  EXPECT_GE(collector.bytes_in_memory(), records + 5000 * 2 * 16);
+  EXPECT_EQ(collector.spill_count(), 0);
+}
+
 TEST(CollectorHashModeTest, FailBudgetCountsDistinctKeysOnly) {
   // 10000 records over 8 keys fit a budget the sort path exceeds.
   for (const bool hash : {false, true}) {
     PartitionedCollector collector(
-        FoldOptions(2, BudgetAction::kFail, 4096, hash, false));
+        FoldOptions(2, BudgetAction::kFail, 4096, hash));
     Status st;
     for (int i = 0; i < 10000 && st.ok(); ++i) {
       st = collector.Add("k" + std::to_string(i % 8), "1");
@@ -951,7 +961,7 @@ TEST(CollectorHashModeTest, FailBudgetCountsDistinctKeysOnly) {
   }
   // Past the budget in distinct keys the hash mode fails too.
   PartitionedCollector collector(
-      FoldOptions(1, BudgetAction::kFail, 4096, /*hash=*/true, false));
+      FoldOptions(1, BudgetAction::kFail, 4096, /*hash=*/true));
   Status st;
   for (int i = 0; i < 10000 && st.ok(); ++i) {
     st = collector.Add("k" + std::to_string(i), "1");
@@ -961,7 +971,7 @@ TEST(CollectorHashModeTest, FailBudgetCountsDistinctKeysOnly) {
 
 TEST(CollectorHashModeTest, Int64FoldRejectsBadValuesNamingTheKey) {
   PartitionedCollector collector(
-      FoldOptions(1, BudgetAction::kUnbounded, 1 << 20, /*hash=*/true, false));
+      FoldOptions(1, BudgetAction::kUnbounded, 1 << 20, /*hash=*/true));
   Status st = collector.Add("word", "x");
   ASSERT_TRUE(st.IsInvalidArgument()) << st;
   EXPECT_NE(st.message().find("'word'"), std::string::npos) << st;

@@ -222,10 +222,10 @@ TEST_F(WaitGraphTest, ChannelProducerConsumerCycleIsReported) {
   EXPECT_NE(report->find("cycle closed"), std::string::npos) << *report;
 }
 
-// Healthy concurrency — pool Submit/Wait, help-while-wait TaskGroup
-// joins, contended inflight-slot acquires, a backpressured channel
-// stream — must never trip the detector, even with the confirmation
-// settings cranked down far below their defaults.
+// Healthy concurrency — pool Submit/Wait, nested help-while-wait
+// TaskGroup joins, a backpressured channel stream — must never trip the
+// detector, even with the confirmation settings cranked down far below
+// their defaults.
 TEST_F(WaitGraphTest, NoFalsePositiveOnHealthyPoolAndChannelWorkload) {
   WaitGraph::Options aggressive;
   aggressive.confirm_rounds = 2;
@@ -246,19 +246,22 @@ TEST_F(WaitGraphTest, NoFalsePositiveOnHealthyPoolAndChannelWorkload) {
   }
   EXPECT_EQ(ran.load(), 3 * 64);
 
-  // Contended slot budget: more concurrent acquirers than slots, so
-  // AcquireBlockSlot's RunUntil help-while-wait path runs hot.
+  // Nested help-while-wait joins: more joining tasks than workers, so
+  // TaskGroup::Wait's RunUntil path runs hot.
   ParallelContext::Options ctx_opts;
   ctx_opts.threads = 4;
-  ctx_opts.max_inflight_blocks = 2;
   ParallelContext ctx(ctx_opts);
   ASSERT_TRUE(ctx.enabled());
   TaskGroup group(&ctx);
   for (int i = 0; i < 32; ++i) {
     group.Run([&ctx] {
-      ctx.AcquireBlockSlot();
-      std::this_thread::sleep_for(std::chrono::microseconds(200));
-      ctx.ReleaseBlockSlot();
+      TaskGroup inner(&ctx);
+      for (int j = 0; j < 2; ++j) {
+        inner.Run([] {
+          std::this_thread::sleep_for(std::chrono::microseconds(200));
+        });
+      }
+      inner.Wait();
     });
   }
   group.Wait();
@@ -298,38 +301,6 @@ TEST_F(WaitGraphTest, NoFalsePositiveOnHealthyPoolAndChannelWorkload) {
   std::this_thread::sleep_for(std::chrono::milliseconds(100));
   const std::vector<std::string> reports = capture_.Reports();
   EXPECT_TRUE(reports.empty()) << reports.front();
-}
-
-// The AcquireBlockSlot doc contract ("only safe for callers holding no
-// slots") is machine-checked when the graph is on: a re-entrant
-// blocking acquire reports a discipline violation through the failure
-// handler instead of risking a budget deadlock.
-TEST_F(WaitGraphTest, ReentrantBlockSlotAcquireReportsViolation) {
-  ParallelContext::Options opts;
-  opts.threads = 2;
-  opts.max_inflight_blocks = 2;
-  ParallelContext ctx(opts);
-  ASSERT_TRUE(ctx.enabled());
-
-  ctx.AcquireBlockSlot();
-  EXPECT_TRUE(capture_.Reports().empty());  // first acquire is fine
-
-  ctx.AcquireBlockSlot();  // re-entrant: flagged, then proceeds
-  const std::vector<std::string> reports = capture_.Reports();
-  ASSERT_EQ(reports.size(), 1u);
-  EXPECT_NE(reports.front().find("AcquireBlockSlot while already holding"),
-            std::string::npos)
-      << reports.front();
-
-  ctx.ReleaseBlockSlot();
-  ctx.ReleaseBlockSlot();
-
-  // TryAcquireBlockSlot is the sanctioned re-entrant form: no report.
-  ASSERT_TRUE(ctx.TryAcquireBlockSlot());
-  ASSERT_TRUE(ctx.TryAcquireBlockSlot());
-  ctx.ReleaseBlockSlot();
-  ctx.ReleaseBlockSlot();
-  EXPECT_EQ(capture_.Reports().size(), 1u);
 }
 
 }  // namespace
