@@ -15,12 +15,12 @@
 #include "bench_util.h"
 #include "common/hash.h"
 #include "common/random.h"
-#include "core/kv_buffer.h"
 #include "core/partitioner.h"
 #include "datagen/codec.h"
 #include "datagen/text_generator.h"
 #include "engine/registry.h"
 #include "mpilite/mpilite.h"
+#include "shuffle/collector.h"
 #include "shuffle/kv_arena.h"
 #include "workloads/micro.h"
 
@@ -221,6 +221,8 @@ void BM_RangePartitioner(benchmark::State& state) {
 }
 BENCHMARK(BM_RangePartitioner);
 
+// The DataMPI A-side store: a one-partition collector, drained through
+// its grouped iterator.
 void BM_KVBufferAddFinish(benchmark::State& state) {
   const int64_t records = state.range(0);
   Rng rng(4);
@@ -229,16 +231,16 @@ void BM_KVBufferAddFinish(benchmark::State& state) {
     keys.push_back("k" + std::to_string(rng.Uniform(10000)));
   }
   for (auto _ : state) {
-    datampi::SpillableKVBuffer buffer;
+    shuffle::PartitionedCollector store(shuffle::CollectorOptions{});
     for (int64_t i = 0; i < records; ++i) {
       benchmark::DoNotOptimize(
-          buffer.Add(keys[static_cast<size_t>(i) & 255], "1"));
+          store.Add(keys[static_cast<size_t>(i) & 255], "1"));
     }
-    auto it = buffer.Finish();
+    auto it = store.FinishIterators();
     std::string key;
     std::vector<std::string> values;
     int64_t groups = 0;
-    while ((*it)->NextGroup(&key, &values)) ++groups;
+    while ((*it)[0]->NextGroup(&key, &values)) ++groups;
     benchmark::DoNotOptimize(groups);
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * records);
@@ -248,18 +250,18 @@ BENCHMARK(BM_KVBufferAddFinish)->Arg(10000)->Arg(100000);
 void BM_KVBufferWithSpill(benchmark::State& state) {
   Rng rng(5);
   for (auto _ : state) {
-    datampi::KVBufferOptions options;
+    shuffle::CollectorOptions options;
     options.memory_budget_bytes = 64 << 10;  // force spills
-    datampi::SpillableKVBuffer buffer(options);
+    shuffle::PartitionedCollector store(options);
     for (int64_t i = 0; i < 20000; ++i) {
       benchmark::DoNotOptimize(
-          buffer.Add("key-" + std::to_string(rng.Uniform(977)), "v"));
+          store.Add("key-" + std::to_string(rng.Uniform(977)), "v"));
     }
-    auto it = buffer.Finish();
+    auto it = store.FinishIterators();
     std::string key;
     std::vector<std::string> values;
     int64_t total = 0;
-    while ((*it)->NextGroup(&key, &values)) {
+    while ((*it)[0]->NextGroup(&key, &values)) {
       total += static_cast<int64_t>(values.size());
     }
     benchmark::DoNotOptimize(total);

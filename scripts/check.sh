@@ -64,17 +64,22 @@ cmake --build build -j
 # are shared across concurrently scheduled plans (TSan). workloads_test
 # joins the UBSan pass for the shared int64 sum: its decimal parse and
 # overflow paths (the hash-mode fold, the combiner's wide total) run
-# under every engine there.
+# under every engine there. core_test joins both passes: DataMPI's O and
+# A ranks run concurrently over mpilite, and both sides parse and fold
+# int64 partials (the O-side send buffers and the A-side store are
+# hash-folding collectors), so its jobs exercise the fold's parse and
+# overflow paths (UBSan) and the rank threads' shared counters and
+# mailboxes (TSan). No other suite runs those ranks under a sanitizer.
 # Both sanitizer passes also arm the WaitGraph deadlock detector
 # (-DDMB_VALIDATE=ON): every suite then runs with waiter->holder edge
 # tracking live, so a lock-cycle regression aborts with the full cycle
 # instead of hanging the runner, and validate_test exercises the
 # detector itself (injected cycles must fire, healthy workloads must
 # not).
-echo "check.sh: UBSan pass (io + shuffle + runtime + datagen + service + cache + validate + workloads tests)"
+echo "check.sh: UBSan pass (io + shuffle + runtime + datagen + service + cache + validate + workloads + core tests)"
 cmake -B build-ubsan -S . -DDMB_SANITIZE=undefined -DDMB_WERROR=ON -DDMB_VALIDATE=ON
-cmake --build build-ubsan -j --target io_test shuffle_test runtime_test datagen_test service_test cache_test validate_test workloads_test
-(cd build-ubsan && ctest --output-on-failure -R '^(io|shuffle|runtime|datagen|service|cache|validate|workloads)_test$')
+cmake --build build-ubsan -j --target io_test shuffle_test runtime_test datagen_test service_test cache_test validate_test workloads_test core_test
+(cd build-ubsan && ctest --output-on-failure -R '^(io|shuffle|runtime|datagen|service|cache|validate|workloads|core)_test$')
 
 # The pipelined narrow edges run a bounded producer/consumer channel
 # between concurrently executing stages — runtime_test must stay clean
@@ -83,10 +88,12 @@ cmake --build build-ubsan -j --target io_test shuffle_test runtime_test datagen_
 # (parallel radix sub-sorts, overlapped spill-block encoding, concurrent
 # partition spills, merge-time block prefetch) shares one ParallelContext
 # pool across tasks and must be race-free at every thread count.
-echo "check.sh: TSan pass (shuffle + io + runtime + service + cache + rddlite + validate tests)"
+# core_test joins it for DataMPI's concurrent O/A rank threads (see the
+# UBSan note above).
+echo "check.sh: TSan pass (shuffle + io + runtime + service + cache + rddlite + validate + core tests)"
 cmake -B build-tsan -S . -DDMB_SANITIZE=thread -DDMB_WERROR=ON -DDMB_VALIDATE=ON
-cmake --build build-tsan -j --target shuffle_test io_test runtime_test service_test cache_test rddlite_test validate_test
-(cd build-tsan && ctest --output-on-failure -R '^(shuffle|io|runtime|service|cache|rddlite|validate)_test$')
+cmake --build build-tsan -j --target shuffle_test io_test runtime_test service_test cache_test rddlite_test validate_test core_test
+(cd build-tsan && ctest --output-on-failure -R '^(shuffle|io|runtime|service|cache|rddlite|validate|core)_test$')
 
 # Clang's -Wthread-safety is what actually checks the DMB_GUARDED_BY /
 # DMB_REQUIRES annotations (gcc compiles them away), so when a clang is

@@ -1,15 +1,13 @@
 #include "core/job.h"
 
-#include <algorithm>
-#include <map>
+#include <utility>
 
-#include "common/byte_buffer.h"
 #include "common/logging.h"
 #include "common/mutex.h"
-#include "common/temp_dir.h"
 #include "common/thread_annotations.h"
 #include "io/run_file.h"
 #include "mpilite/mpilite.h"
+#include "shuffle/collector.h"
 #include "shuffle/kv_arena.h"
 
 namespace dmb::datampi {
@@ -36,20 +34,51 @@ struct SharedState {
   std::vector<std::vector<KVPair>> a_outputs DMB_GUARDED_BY(output_mu);
 };
 
+/// O-side send buffer for one A rank: a single-partition collector that
+/// never spills (it ships at send_buffer_bytes instead). When the job
+/// combines, each batch is sorted and combined, or hash-folded as it is
+/// emitted when the job declares a fold; otherwise it keeps arrival
+/// order.
+shuffle::CollectorOptions SendBufferOptions(const JobConfig& config) {
+  shuffle::CollectorOptions options;
+  options.on_budget = shuffle::BudgetAction::kUnbounded;
+  options.sort_by_key = static_cast<bool>(config.combiner);
+  options.combiner = config.combiner;
+  options.fold = config.fold;
+  options.parallel = config.parallel;
+  return options;
+}
+
+/// A-side store: everything one A rank receives, memory first, spilling
+/// sorted runs past the budget. With sorted grouping it folds each
+/// received partial into its key's accumulator when the job declares a
+/// fold, so only the distinct keys are resident and sorted.
+shuffle::CollectorOptions AStoreOptions(const JobConfig& config) {
+  shuffle::CollectorOptions options;
+  options.memory_budget_bytes = config.a_memory_budget_bytes;
+  options.on_budget = shuffle::BudgetAction::kSpill;
+  options.sort_by_key = config.sort_by_key;
+  if (config.sort_by_key) options.fold = config.fold;
+  options.spill_io = config.spill_io;
+  options.parallel = config.parallel;
+  return options;
+}
+
 class OContextImpl : public OContext {
  public:
   OContextImpl(const JobConfig& config, mpi::Comm* world, SharedState* shared)
-      : config_(config),
-        world_(world),
-        shared_(shared),
-        partitions_(static_cast<size_t>(config.num_a_ranks)) {}
+      : config_(config), world_(world), shared_(shared) {
+    for (int p = 0; p < config.num_a_ranks; ++p) {
+      send_buffers_.push_back(std::make_unique<shuffle::PartitionedCollector>(
+          SendBufferOptions(config)));
+    }
+  }
 
   Status Emit(std::string_view key, std::string_view value) override {
-    shared_->o_records.fetch_add(1, std::memory_order_relaxed);
+    ++records_emitted_;
     if (config_.num_a_ranks == 1) {
       // Single A rank: no routing decision to batch.
-      auto& part = partitions_[0];
-      part.slices.push_back(part.arena.Add(key, value));
+      DMB_RETURN_NOT_OK(send_buffers_[0]->Add(key, value));
       return MaybeFlush(0);
     }
     // Stage and route kEmitBatchRecords at a time: one virtual
@@ -74,25 +103,25 @@ class OContextImpl : public OContext {
     return Status::OK();
   }
 
+  /// Records emitted by every task this context ran (counted here, not
+  /// in SharedState, so concurrent O ranks share no cache line per
+  /// record).
+  int64_t records_emitted() const { return records_emitted_; }
+  /// Pool work units the send buffers' combining sorts fanned out.
+  int64_t parallel_tasks() const {
+    int64_t total = 0;
+    for (const auto& buffer : send_buffers_) {
+      total += buffer->parallel_tasks();
+    }
+    return total;
+  }
+
  private:
-  /// Budget charge per buffered record beyond the raw payload (the
-  /// slice itself), mirroring the seed's +8/record estimate closely
-  /// enough to keep flush cadence comparable.
-  static constexpr int64_t kSliceOverheadBytes = 8;
   /// Emits staged before one batched routing pass (matches
   /// shuffle::PartitionedCollector::kRouteBatchRecords).
   static constexpr size_t kEmitBatchRecords = 256;
 
-  /// Per-partition pipeline buffer on the shuffle layer's arena path:
-  /// payload bytes in one flat KVArena, records as 24-byte slices —
-  /// the same representation PartitionedCollector uses, instead of the
-  /// seed's per-batch std::vector<KVPair> re-sort.
-  struct PartitionBuffer {
-    shuffle::KVArena arena;
-    std::vector<shuffle::KVSlice> slices;
-  };
-
-  /// Routes every staged record to its partition buffer in one batched
+  /// Routes every staged record to its send buffer in one batched
   /// partitioner call, then runs the flush checks once per batch (a
   /// buffer may overshoot send_buffer_bytes by at most one staged
   /// batch, which the wire format does not care about).
@@ -107,10 +136,9 @@ class OContextImpl : public OContext {
     partitioner_->PartitionBatch(staged_keys_.data(), n, config_.num_a_ranks,
                                  staged_parts_.data());
     for (size_t i = 0; i < n; ++i) {
-      auto& part = partitions_[static_cast<size_t>(staged_parts_[i])];
       const shuffle::KVSlice& s = staged_slices_[i];
-      part.slices.push_back(
-          part.arena.Add(staging_.KeyOf(s), staging_.ValueOf(s)));
+      auto& buffer = *send_buffers_[static_cast<size_t>(staged_parts_[i])];
+      DMB_RETURN_NOT_OK(buffer.Add(staging_.KeyOf(s), staging_.ValueOf(s)));
     }
     staged_slices_.clear();
     staging_.Clear();
@@ -121,59 +149,30 @@ class OContextImpl : public OContext {
   }
 
   Status MaybeFlush(int p) {
-    const auto& part = partitions_[static_cast<size_t>(p)];
-    if (part.arena.bytes() +
-            static_cast<int64_t>(part.slices.size()) * kSliceOverheadBytes >=
+    if (send_buffers_[static_cast<size_t>(p)]->bytes_in_memory() >=
         config_.send_buffer_bytes) {
       return FlushPartition(p);
     }
     return Status::OK();
   }
 
+  /// Ships partition p's resident run (combined when the job combines)
+  /// to its A rank.
   Status FlushPartition(int p) {
-    auto& part = partitions_[static_cast<size_t>(p)];
-    if (part.slices.empty()) return Status::OK();
-    ByteBuffer wire;
-    if (config_.combiner) {
-      // Group the batch locally and combine each key's values before the
-      // pairs hit the wire (WordCount-style traffic reduction). Sorting
-      // moves slices with cached key prefixes, not string pairs.
-      int64_t spawned = 0;
-      part.arena.Sort(&part.slices, config_.parallel, &spawned);
-      if (spawned > 0) {
-        shared_->parallel_tasks.fetch_add(spawned, std::memory_order_relaxed);
-      }
-      size_t i = 0;
-      std::vector<std::string> values;
-      while (i < part.slices.size()) {
-        const std::string_view key = part.arena.KeyOf(part.slices[i]);
-        values.clear();
-        while (i < part.slices.size() &&
-               part.arena.KeyOf(part.slices[i]) == key) {
-          values.emplace_back(part.arena.ValueOf(part.slices[i]));
-          ++i;
-        }
-        const std::string combined = config_.combiner(key, values);
-        EncodeKV(&wire, key, combined);
-      }
-    } else {
-      for (const auto& s : part.slices) {
-        EncodeKV(&wire, part.arena.KeyOf(s), part.arena.ValueOf(s));
-      }
-    }
-    part.slices.clear();
-    part.arena.Clear();
+    std::string wire = send_buffers_[static_cast<size_t>(p)]->TakeEncodedRun();
+    if (wire.empty()) return Status::OK();
     shared_->shuffle_bytes.fetch_add(static_cast<int64_t>(wire.size()),
                                      std::memory_order_relaxed);
     shared_->shuffle_batches.fetch_add(1, std::memory_order_relaxed);
     const int a_world_rank = config_.num_o_ranks + p;
-    return world_->Send(a_world_rank, kDataTag, std::string(wire.view()));
+    return world_->Send(a_world_rank, kDataTag, std::move(wire));
   }
 
   const JobConfig& config_;
   mpi::Comm* world_;
   SharedState* shared_;
-  std::vector<PartitionBuffer> partitions_;
+  /// One send buffer per A rank.
+  std::vector<std::unique_ptr<shuffle::PartitionedCollector>> send_buffers_;
   /// Arrival-order records awaiting one batched routing pass, plus the
   /// scratch arrays the pass reuses.
   shuffle::KVArena staging_;
@@ -182,6 +181,7 @@ class OContextImpl : public OContext {
   std::vector<int> staged_parts_;
   const Partitioner* partitioner_ = nullptr;
   int task_id_ = -1;
+  int64_t records_emitted_ = 0;
 };
 
 /// A-side output collector: the shared stream-aware tee behind an
@@ -227,6 +227,10 @@ Status RunOTasks(const JobConfig& config, mpi::Comm& world,
          !shared->max_wave.compare_exchange_weak(prev, wave)) {
   }
   if (status.ok()) status = ctx.FlushAll();
+  shared->o_records.fetch_add(ctx.records_emitted(),
+                              std::memory_order_relaxed);
+  shared->parallel_tasks.fetch_add(ctx.parallel_tasks(),
+                                   std::memory_order_relaxed);
   // End-of-stream markers are sent even on failure so A ranks never hang
   // waiting for a dead producer.
   for (int a = 0; a < config.num_a_ranks; ++a) {
@@ -236,19 +240,18 @@ Status RunOTasks(const JobConfig& config, mpi::Comm& world,
   return status;
 }
 
-Status ReduceBuffer(const JobConfig& config, int a_rank,
-                    SpillableKVBuffer* buffer, SharedState* shared,
-                    const AGroupFn& a_fn) {
-  shared->a_records.fetch_add(buffer->records_added(),
+Status ReduceStore(const JobConfig& config, int a_rank,
+                   shuffle::PartitionedCollector* store, SharedState* shared,
+                   const AGroupFn& a_fn) {
+  shared->a_records.fetch_add(store->records_added(),
                               std::memory_order_relaxed);
-  shared->a_spills.fetch_add(buffer->spill_count(),
-                             std::memory_order_relaxed);
-  shared->a_spill_bytes_raw.fetch_add(buffer->spilled_raw_bytes(),
+  shared->a_spills.fetch_add(store->spill_count(), std::memory_order_relaxed);
+  shared->a_spill_bytes_raw.fetch_add(store->spilled_raw_bytes(),
                                       std::memory_order_relaxed);
-  shared->a_spill_bytes_on_disk.fetch_add(buffer->spilled_bytes(),
+  shared->a_spill_bytes_on_disk.fetch_add(store->spilled_bytes(),
                                           std::memory_order_relaxed);
-  DMB_ASSIGN_OR_RETURN(std::unique_ptr<KVGroupIterator> groups,
-                       buffer->Finish());
+  DMB_ASSIGN_OR_RETURN(auto iterators, store->FinishIterators());
+  shuffle::KVGroupIterator* groups = iterators[0].get();
   std::unique_ptr<shuffle::BatchStreamWriter> stream;
   if (config.output_stream != nullptr) {
     stream = std::make_unique<shuffle::BatchStreamWriter>(
@@ -268,7 +271,7 @@ Status ReduceBuffer(const JobConfig& config, int a_rank,
   shared->a_blocks_read.fetch_add(groups->blocks_read(),
                                   std::memory_order_relaxed);
   // After the group sweep: Finish()-time parallel sorts are counted too.
-  shared->parallel_tasks.fetch_add(buffer->parallel_tasks(),
+  shared->parallel_tasks.fetch_add(store->parallel_tasks(),
                                    std::memory_order_relaxed);
   shared->output_records.fetch_add(emitter.records(),
                                    std::memory_order_relaxed);
@@ -283,12 +286,7 @@ std::string CheckpointPath(const JobConfig& config, int a_rank) {
 
 Status RunATask(const JobConfig& config, mpi::Comm& world, int a_rank,
                 SharedState* shared, const AGroupFn& a_fn) {
-  KVBufferOptions options;
-  options.memory_budget_bytes = config.a_memory_budget_bytes;
-  options.sort_by_key = config.sort_by_key;
-  options.spill_io = config.spill_io;
-  options.parallel = config.parallel;
-  SpillableKVBuffer buffer(options);
+  shuffle::PartitionedCollector store(AStoreOptions(config));
   // Checkpoints stream through the io block format (checksummed,
   // optionally compressed blocks of EncodeKV records), so a restart can
   // detect any corruption instead of replaying damaged shuffle data.
@@ -306,22 +304,22 @@ Status RunATask(const JobConfig& config, mpi::Comm& world, int a_rank,
     }
     DMB_CHECK(msg.tag == kDataTag);
     if (ckpt != nullptr) {
-      // One decode feeds both sinks (no batch re-parse in the buffer).
+      // One decode feeds both sinks (no batch re-parse in the store).
       KVBatchReader reader(msg.payload);
       std::string_view key, value;
       while (reader.Next(&key, &value)) {
         DMB_RETURN_NOT_OK(ckpt->Add(key, value));
-        DMB_RETURN_NOT_OK(buffer.Add(key, value));
+        DMB_RETURN_NOT_OK(store.Add(key, value));
       }
       DMB_RETURN_NOT_OK(reader.status());
     } else {
-      DMB_RETURN_NOT_OK(buffer.AddBatch(msg.payload));
+      DMB_RETURN_NOT_OK(store.AddBatch(msg.payload));
     }
   }
   if (ckpt != nullptr) {
     DMB_RETURN_NOT_OK(ckpt->Finish());
   }
-  return ReduceBuffer(config, a_rank, &buffer, shared, a_fn);
+  return ReduceStore(config, a_rank, &store, shared, a_fn);
 }
 
 }  // namespace
@@ -337,6 +335,7 @@ std::vector<KVPair> JobResult::Merged() const {
 DataMPIJob::DataMPIJob(JobConfig config) : config_(std::move(config)) {
   DMB_CHECK(config_.num_o_ranks >= 1);
   DMB_CHECK(config_.num_a_ranks >= 1);
+  DMB_CHECK(!config_.fold || config_.combiner);
   if (!config_.partitioner) {
     config_.partitioner = std::make_shared<HashPartitioner>();
   }
@@ -416,18 +415,13 @@ Result<JobResult> DataMPIJob::RunFromCheckpoint(AGroupFn a_fn) {
     DMB_ASSIGN_OR_RETURN(
         std::unique_ptr<io::StreamingRunReader> reader,
         io::StreamingRunReader::Open(CheckpointPath(config, a_rank)));
-    KVBufferOptions options;
-    options.memory_budget_bytes = config.a_memory_budget_bytes;
-    options.sort_by_key = config.sort_by_key;
-    options.spill_io = config.spill_io;
-    options.parallel = config.parallel;
-    SpillableKVBuffer buffer(options);
+    shuffle::PartitionedCollector store(AStoreOptions(config));
     std::string_view key, value;
     while (reader->Next(&key, &value)) {
-      DMB_RETURN_NOT_OK(buffer.Add(key, value));
+      DMB_RETURN_NOT_OK(store.Add(key, value));
     }
     DMB_RETURN_NOT_OK(reader->status());
-    return ReduceBuffer(config, a_rank, &buffer, &shared, a_fn);
+    return ReduceStore(config, a_rank, &store, &shared, a_fn);
   });
   DMB_RETURN_NOT_OK(run_status);
 

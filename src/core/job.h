@@ -11,10 +11,19 @@
 //   - data-centric: emitted pairs are partitioned by key and buffered at
 //     the A side (memory first, disk spill on pressure);
 //   - diversified: hash or range (total-order) partitioning, optional
-//     combiner, sorted or arrival-order grouping.
+//     combiner or fold, sorted or arrival-order grouping.
 // Data movement is pipelined: Emit() flushes fixed-size batches to A
 // tasks *while the O task is still computing*, which is the mechanism
 // behind the paper's network-throughput and overlap advantages.
+//
+// Both buffers are shuffle::PartitionedCollectors. An O task keeps one
+// send buffer per A rank and ships its resident run once it holds
+// send_buffer_bytes: sorted and combined when the job has a combiner,
+// hash-folded as it is emitted when the job also declares a fold, in
+// arrival order otherwise. Each A task stores what it receives in one
+// collector that spills sorted runs past the memory budget and, with
+// sorted grouping and a fold, folds the received partials so that only
+// distinct keys are resident and sorted.
 
 #ifndef DATAMPI_BENCH_CORE_JOB_H_
 #define DATAMPI_BENCH_CORE_JOB_H_
@@ -28,9 +37,14 @@
 
 #include "common/status.h"
 #include "core/kv.h"
-#include "core/kv_buffer.h"
 #include "core/partitioner.h"
+#include "io/block_file.h"
 #include "shuffle/batch_channel.h"
+#include "shuffle/fold.h"
+
+namespace dmb {
+class ParallelContext;
+}
 
 namespace dmb::datampi {
 
@@ -42,8 +56,8 @@ struct JobConfig {
   /// Logical O tasks (>= num_o_ranks; claimed dynamically). 0 means one
   /// task per O rank.
   int num_o_tasks = 0;
-  /// Pipeline batch size: an O task ships a partition buffer to its A
-  /// task whenever it exceeds this many bytes.
+  /// Pipeline batch size: an O task ships a send buffer to its A task
+  /// once the buffer's collector holds this many bytes in memory.
   int64_t send_buffer_bytes = 1 << 20;
   /// A-side memory budget per A task before spilling to disk.
   int64_t a_memory_budget_bytes = 64 << 20;
@@ -53,11 +67,18 @@ struct JobConfig {
   bool sort_by_key = true;
   /// Partitioner; null = HashPartitioner.
   std::shared_ptr<const Partitioner> partitioner;
-  /// Optional combiner applied to each batch before it is shipped:
+  /// Optional combiner applied to each send batch before it is shipped:
   /// (key, values) -> combined value (e.g. partial sums for WordCount).
+  /// The batch is sorted and each key's values combined.
   std::function<std::string(std::string_view key,
                             const std::vector<std::string>& values)>
       combiner;
+  /// Optional fold agreeing with `combiner` (required with it;
+  /// shuffle/fold.h). Send batches are then hash-folded as they are
+  /// emitted instead of sorted, and with sort_by_key the A side folds
+  /// the received partials, so the A function sees one folded value per
+  /// key (one per spill run when the A side spills).
+  shuffle::Fold fold;
   /// Optional checkpoint directory: when set, every A task persists its
   /// received (pre-reduce) data, enabling RunFromCheckpoint().
   std::string checkpoint_dir;
@@ -72,7 +93,7 @@ struct JobConfig {
   bool stream_output_only = false;
   /// Intra-task parallelism context (borrowed, may be null; typically
   /// the engine-owned pool shared by every task of the job). When set,
-  /// O-side combiner flushes sort in parallel and A-side buffers spill
+  /// O-side combiner flushes sort in parallel and A-side stores spill
   /// with concurrent sorts, overlapped block encoding and merge-time
   /// prefetch. Output and run-file bytes are identical either way.
   ParallelContext* parallel = nullptr;
@@ -118,7 +139,7 @@ struct JobStats {
   int64_t a_blocks_read = 0;
   int64_t output_records = 0;
   /// Intra-task pool work units fanned out by O-side combiner sorts and
-  /// A-side buffers (0 when config.parallel is null).
+  /// A-side stores (0 when config.parallel is null).
   int64_t parallel_shuffle_tasks = 0;
   int o_waves = 0;
 };

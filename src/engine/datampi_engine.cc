@@ -58,6 +58,7 @@ Result<JobOutput> DataMPIEngine::RunStage(const JobSpec& spec) {
   config.num_a_ranks = spec.parallelism;
   config.partitioner = spec.partitioner;
   config.combiner = spec.combiner;
+  config.fold = spec.fold;
   config.sort_by_key = spec.sort_by_key;
   config.spill_io = SpillIoOptions(spec);
   config.output_stream = spec.stream_output;

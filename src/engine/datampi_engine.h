@@ -1,5 +1,6 @@
 // DataMPI adapter: runs an engine::JobSpec as a bipartite O/A job over
-// mpilite (pipelined shuffle, A-side SpillableKVBuffer).
+// mpilite (pipelined shuffle; O-side send buffers and the A-side store
+// are shuffle collectors that fold when the job declares a fold).
 
 #ifndef DATAMPI_BENCH_ENGINE_DATAMPI_ENGINE_H_
 #define DATAMPI_BENCH_ENGINE_DATAMPI_ENGINE_H_

@@ -107,10 +107,11 @@ struct JobSpec {
   /// Optional combiner applied to intermediate data before the shuffle.
   CombinerFn combiner;
   /// Optional associative fold standing in for `combiner` where an
-  /// engine aggregates map output in a hash table (rddlite, as Spark's
-  /// combineByKey) instead of sorting it first; it must agree with the
-  /// combiner (shuffle/fold.h). DataMPI and MapReduce combine through
-  /// `combiner` and ignore it. Requires `combiner`.
+  /// engine aggregates in a hash table instead of sorting first: rddlite
+  /// on the map side (Spark's combineByKey), DataMPI in its O-side send
+  /// buffers and A-side store. It must agree with the combiner
+  /// (shuffle/fold.h). MapReduce combines through `combiner` in its
+  /// sorted spills, as Hadoop does. Requires `combiner`.
   shuffle::Fold fold;
   /// Group keys in sorted order at the reduce side (all engines honour
   /// sorted grouping; false permits arrival-order grouping where the

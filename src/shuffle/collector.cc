@@ -67,7 +67,7 @@ void PartitionedCollector::GrowTable() {
   const size_t mask = table_.size() - 1;
   for (const TableSlot& slot : old) {
     if (slot.key_len == kEmptySlot) continue;
-    size_t i = Hash64(arena_->Bytes(slot.key_off, slot.key_len)) & mask;
+    size_t i = slot.tag & mask;
     while (table_[i].key_len != kEmptySlot) i = (i + 1) & mask;
     table_[i] = slot;
   }
@@ -81,10 +81,9 @@ void PartitionedCollector::ClearTable() {
 Status PartitionedCollector::FoldAdd(std::string_view key,
                                      std::string_view value) {
   if (table_.empty()) table_.assign(kInitialTableSlots, TableSlot{});
-  const uint64_t hash = Hash64(key);
-  const uint32_t tag = static_cast<uint32_t>(hash >> 32);
+  const uint32_t tag = static_cast<uint32_t>(Hash64(key) >> 32);
   const size_t mask = table_.size() - 1;
-  size_t i = hash & mask;
+  size_t i = tag & mask;
   for (; table_[i].key_len != kEmptySlot; i = (i + 1) & mask) {
     const TableSlot& slot = table_[i];
     if (slot.tag != tag || slot.key_len != key.size() ||
@@ -234,7 +233,8 @@ Status PartitionedCollector::ForEachResident(
     }
   } else {
     // Unsorted collectors emit in arrival order without grouping
-    // (only reachable through FinishRuns; combiners require sorting).
+    // (only reachable through FinishRuns and TakeEncodedRun; combiners
+    // require sorting).
     if (options_.sort_by_key) SortSlices(&slices);
     for (const KVSlice& s : slices) {
       DMB_RETURN_NOT_OK(sink(arena_->KeyOf(s), arena_->ValueOf(s)));
@@ -353,14 +353,24 @@ Status PartitionedCollector::SpillAll() {
   std::vector<std::string> paths;
   DMB_RETURN_NOT_OK(WriteAllRunFiles(&paths));
   for (size_t p = 0; p < partitions_.size(); ++p) {
-    if (paths[p].empty()) continue;
-    spill_files_[p].push_back(std::move(paths[p]));
-    partitions_[p].clear();
+    if (!paths[p].empty()) spill_files_[p].push_back(std::move(paths[p]));
   }
+  ClearResident();
+  return Status::OK();
+}
+
+void PartitionedCollector::ClearResident() {
+  for (auto& slices : partitions_) slices.clear();
   records_in_memory_ = 0;
   arena_->Clear();
   ClearTable();
-  return Status::OK();
+}
+
+std::string PartitionedCollector::TakeEncodedRun() {
+  DMB_CHECK(options_.num_partitions == 1 && !finished_);
+  std::string run = EncodeResident(0);
+  ClearResident();
+  return run;
 }
 
 Result<std::vector<std::unique_ptr<KVGroupIterator>>>

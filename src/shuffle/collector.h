@@ -104,9 +104,8 @@ struct CollectorOptions {
 class PartitionedCollector {
  public:
   /// Per-record bookkeeping overhead charged against the memory budget
-  /// on top of the raw key+value payload (slice + vector slot; matches
-  /// the seed SpillableKVBuffer estimate so spill-trigger behaviour is
-  /// comparable). Without a fold bytes_in_memory() grows by exactly
+  /// on top of the raw key+value payload (slice + vector slot).
+  /// Without a fold bytes_in_memory() grows by exactly
   /// key.size() + value.size() + kRecordOverheadBytes per Add, so
   /// callers owning an external budget can reserve before inserting.
   /// With a fold it grows only on a new key, by key.size() + 8 (the
@@ -156,6 +155,14 @@ class PartitionedCollector {
   /// with resident data sorted/combined/encoded (written to disk when
   /// `to_disk`). Used by engines that stage runs across a task barrier.
   Result<std::vector<PartitionRuns>> FinishRuns(bool to_disk);
+
+  /// \brief Takes the resident run of a single-partition collector,
+  /// EncodeKV-framed ("" when nothing is resident), and leaves the
+  /// collector empty but open for more Add()s. The run is what a spill
+  /// would write: sorted and combined (or folded) when combining, in
+  /// arrival order when unsorted. DataMPI's O side ships one such run
+  /// per send batch.
+  std::string TakeEncodedRun();
 
   int num_partitions() const { return options_.num_partitions; }
   int64_t records_added() const { return records_added_; }
@@ -247,6 +254,9 @@ class PartitionedCollector {
   /// accumulators instead. Requires combining().
   std::vector<KVSlice> CombineResident(size_t p, KVArena* out);
   Status SpillAll();
+  /// Drops every resident record, the arena bytes and the hash table
+  /// (after they were spilled or taken as a run).
+  void ClearResident();
   const TempDir* dir();
 
   CollectorOptions options_;
@@ -270,7 +280,9 @@ class PartitionedCollector {
   struct TableSlot {
     uint64_t key_off = 0;
     uint32_t key_len = kEmptySlot;
-    /// High half of the key's hash: most mismatches end here.
+    /// High half of the key's hash: most mismatches end here. Its low
+    /// bits are the slot's home, so the table grows without rehashing
+    /// or touching the keys.
     uint32_t tag = 0;
   };
 

@@ -5,9 +5,8 @@
 // three forms — arena-resident slices, encoded in-memory batches, and
 // spill files on disk — and RunMerger merges any mix of them into one
 // KVGroupIterator stream of (key, values) groups in sorted key order.
-// This is the one implementation of the external merge sort that the
-// seed repo carried three times (SpillableKVBuffer::Finish, the
-// mapreduce reduce-side sort, and the rdd groupBy).
+// This is the one implementation of the external merge sort behind
+// the DataMPI A side, the mapreduce reduce side and the rdd groupBy.
 
 #ifndef DATAMPI_BENCH_SHUFFLE_RUN_MERGER_H_
 #define DATAMPI_BENCH_SHUFFLE_RUN_MERGER_H_

@@ -1,5 +1,6 @@
 // Tests for the DataMPI core library: KV encoding, partitioners, the
-// spillable buffer / external merge, and the bipartite job engine.
+// A-side store (a one-partition shuffle collector) and its external
+// merge, and the bipartite job engine.
 
 #include <algorithm>
 #include <map>
@@ -11,8 +12,10 @@
 #include "common/temp_dir.h"
 #include "core/job.h"
 #include "core/kv.h"
-#include "core/kv_buffer.h"
 #include "core/partitioner.h"
+#include "shuffle/collector.h"
+#include "shuffle/fold.h"
+#include "workloads/int64_sum.h"
 
 namespace dmb::datampi {
 namespace {
@@ -127,46 +130,56 @@ TEST(PartitionerTest, RangeFromSampleYieldsGlobalOrder) {
   }
 }
 
-// ---- Spillable buffer ----
+// ---- The A-side store: a one-partition collector ----
 
-TEST(KvBufferTest, GroupsAndSortsInMemory) {
-  SpillableKVBuffer buffer;
-  ASSERT_TRUE(buffer.Add("b", "2").ok());
-  ASSERT_TRUE(buffer.Add("a", "1").ok());
-  ASSERT_TRUE(buffer.Add("b", "1").ok());
-  auto groups = buffer.Finish();
+using shuffle::CollectorOptions;
+using shuffle::PartitionedCollector;
+
+/// The A-side store's shape: one partition spilling past `budget`.
+CollectorOptions StoreOptions(int64_t budget = 64 << 20,
+                              bool sort_by_key = true) {
+  CollectorOptions options;
+  options.memory_budget_bytes = budget;
+  options.sort_by_key = sort_by_key;
+  return options;
+}
+
+TEST(AStoreTest, GroupsAndSortsInMemory) {
+  PartitionedCollector store(StoreOptions());
+  ASSERT_TRUE(store.Add("b", "2").ok());
+  ASSERT_TRUE(store.Add("a", "1").ok());
+  ASSERT_TRUE(store.Add("b", "1").ok());
+  auto groups = store.FinishIterators();
   ASSERT_TRUE(groups.ok());
   std::string key;
   std::vector<std::string> values;
-  ASSERT_TRUE((*groups)->NextGroup(&key, &values));
+  ASSERT_TRUE((*groups)[0]->NextGroup(&key, &values));
   EXPECT_EQ(key, "a");
   EXPECT_EQ(values.size(), 1u);
-  ASSERT_TRUE((*groups)->NextGroup(&key, &values));
+  ASSERT_TRUE((*groups)[0]->NextGroup(&key, &values));
   EXPECT_EQ(key, "b");
   EXPECT_EQ(values.size(), 2u);
-  EXPECT_FALSE((*groups)->NextGroup(&key, &values));
+  EXPECT_FALSE((*groups)[0]->NextGroup(&key, &values));
 }
 
-TEST(KvBufferTest, SpillsUnderMemoryPressureAndMergesCorrectly) {
-  KVBufferOptions options;
-  options.memory_budget_bytes = 4096;  // force many spills
-  SpillableKVBuffer buffer(options);
+TEST(AStoreTest, SpillsUnderMemoryPressureAndMergesCorrectly) {
+  PartitionedCollector store(StoreOptions(4096));  // force many spills
   Rng rng(5);
   std::map<std::string, int> expected;
   for (int i = 0; i < 3000; ++i) {
     const std::string key =
         NumberedKey("k", static_cast<int64_t>(rng.Uniform(200)));
-    ASSERT_TRUE(buffer.Add(key, "v").ok());
+    ASSERT_TRUE(store.Add(key, "v").ok());
     ++expected[key];
   }
-  EXPECT_GT(buffer.spill_count(), 0) << "test must exercise spilling";
-  auto groups = buffer.Finish();
+  EXPECT_GT(store.spill_count(), 0) << "test must exercise spilling";
+  auto groups = store.FinishIterators();
   ASSERT_TRUE(groups.ok());
   std::string key;
   std::vector<std::string> values;
   std::string prev;
   int total = 0;
-  while ((*groups)->NextGroup(&key, &values)) {
+  while ((*groups)[0]->NextGroup(&key, &values)) {
     EXPECT_GT(key, prev) << "keys must be strictly increasing";
     prev = key;
     EXPECT_EQ(static_cast<int>(values.size()), expected[key]);
@@ -175,50 +188,45 @@ TEST(KvBufferTest, SpillsUnderMemoryPressureAndMergesCorrectly) {
   EXPECT_EQ(total, 3000);
 }
 
-TEST(KvBufferTest, FifoModePreservesArrivalOrder) {
-  KVBufferOptions options;
-  options.sort_by_key = false;
-  SpillableKVBuffer buffer(options);
+TEST(AStoreTest, FifoModePreservesArrivalOrder) {
+  PartitionedCollector store(StoreOptions(64 << 20, /*sort_by_key=*/false));
   for (int i = 0; i < 10; ++i) {
-    ASSERT_TRUE(buffer.Add(NumberedKey("k", 9 - i), std::to_string(i))
-                    .ok());
+    ASSERT_TRUE(store.Add(NumberedKey("k", 9 - i), std::to_string(i)).ok());
   }
-  auto groups = buffer.Finish();
+  auto groups = store.FinishIterators();
   ASSERT_TRUE(groups.ok());
   std::string key;
   std::vector<std::string> values;
   int i = 0;
-  while ((*groups)->NextGroup(&key, &values)) {
+  while ((*groups)[0]->NextGroup(&key, &values)) {
     EXPECT_EQ(values[0], std::to_string(i));
     ++i;
   }
   EXPECT_EQ(i, 10);
 }
 
-TEST(KvBufferTest, AddAfterFinishFails) {
-  SpillableKVBuffer buffer;
-  ASSERT_TRUE(buffer.Add("a", "1").ok());
-  ASSERT_TRUE(buffer.Finish().ok());
-  EXPECT_FALSE(buffer.Add("b", "2").ok());
+TEST(AStoreTest, AddAfterFinishFails) {
+  PartitionedCollector store(StoreOptions());
+  ASSERT_TRUE(store.Add("a", "1").ok());
+  ASSERT_TRUE(store.FinishIterators().ok());
+  EXPECT_FALSE(store.Add("b", "2").ok());
 }
 
-TEST(KvBufferTest, UnsortedModeNeverSpillsEvenUnderPressure) {
-  KVBufferOptions options;
-  options.sort_by_key = false;
-  options.memory_budget_bytes = 16;  // would spill every Add if sorted
-  SpillableKVBuffer buffer(options);
+TEST(AStoreTest, UnsortedModeNeverSpillsEvenUnderPressure) {
+  // A 16-byte budget would spill every Add if the store were sorted.
+  PartitionedCollector store(StoreOptions(16, /*sort_by_key=*/false));
   for (int i = 0; i < 500; ++i) {
     ASSERT_TRUE(
-        buffer.Add(NumberedKey("k", 499 - i), std::to_string(i)).ok());
+        store.Add(NumberedKey("k", 499 - i), std::to_string(i)).ok());
   }
-  EXPECT_EQ(buffer.spill_count(), 0);
-  EXPECT_EQ(buffer.spilled_bytes(), 0);
-  auto groups = buffer.Finish();
+  EXPECT_EQ(store.spill_count(), 0);
+  EXPECT_EQ(store.spilled_bytes(), 0);
+  auto groups = store.FinishIterators();
   ASSERT_TRUE(groups.ok());
   std::string key;
   std::vector<std::string> values;
   int i = 0;
-  while ((*groups)->NextGroup(&key, &values)) {
+  while ((*groups)[0]->NextGroup(&key, &values)) {
     EXPECT_EQ(key, NumberedKey("k", 499 - i)) << "arrival order";
     EXPECT_EQ(values, std::vector<std::string>{std::to_string(i)});
     ++i;
@@ -226,56 +234,54 @@ TEST(KvBufferTest, UnsortedModeNeverSpillsEvenUnderPressure) {
   EXPECT_EQ(i, 500);
 }
 
-TEST(KvBufferTest, AddBatchOnCorruptBatchKeepsPrefixAndReportsError) {
+TEST(AStoreTest, AddBatchOnCorruptBatchKeepsPrefixAndReportsError) {
   ByteBuffer wire;
   EncodeKV(&wire, "good", "record");
   std::string batch(wire.view());
   batch += '\xff';  // dangling varint continuation: truncated length
 
-  SpillableKVBuffer buffer;
-  const Status st = buffer.AddBatch(batch);
+  PartitionedCollector store(StoreOptions());
+  const Status st = store.AddBatch(batch);
   ASSERT_FALSE(st.ok());
-  EXPECT_EQ(buffer.records_added(), 1) << "records before the corruption "
-                                          "must be retained";
-  auto groups = buffer.Finish();
+  EXPECT_EQ(store.records_added(), 1) << "records before the corruption "
+                                         "must be retained";
+  auto groups = store.FinishIterators();
   ASSERT_TRUE(groups.ok());
   std::string key;
   std::vector<std::string> values;
-  ASSERT_TRUE((*groups)->NextGroup(&key, &values));
+  ASSERT_TRUE((*groups)[0]->NextGroup(&key, &values));
   EXPECT_EQ(key, "good");
-  EXPECT_FALSE((*groups)->NextGroup(&key, &values));
+  EXPECT_FALSE((*groups)[0]->NextGroup(&key, &values));
 }
 
-TEST(KvBufferTest, AddBatchOnTruncatedValueReportsError) {
+TEST(AStoreTest, AddBatchOnTruncatedValueReportsError) {
   ByteBuffer wire;
   EncodeKV(&wire, "key", "a-value-that-gets-cut");
   const std::string_view full = wire.view();
-  SpillableKVBuffer buffer;
-  EXPECT_FALSE(buffer.AddBatch(full.substr(0, full.size() - 5)).ok());
-  EXPECT_EQ(buffer.records_added(), 0);
+  PartitionedCollector store(StoreOptions());
+  EXPECT_FALSE(store.AddBatch(full.substr(0, full.size() - 5)).ok());
+  EXPECT_EQ(store.records_added(), 0);
 }
 
-TEST(KvBufferTest, ZeroByteKeysAndValuesSurviveSpillRoundTrip) {
-  KVBufferOptions options;
-  options.memory_budget_bytes = 1;  // spill after every record
-  SpillableKVBuffer buffer(options);
-  ASSERT_TRUE(buffer.Add("", "1").ok());
-  ASSERT_TRUE(buffer.Add("k", "").ok());
-  ASSERT_TRUE(buffer.Add("", "2").ok());
-  ASSERT_TRUE(buffer.Add("", "").ok());
-  EXPECT_GT(buffer.spill_count(), 0);
-  auto groups = buffer.Finish();
+TEST(AStoreTest, ZeroByteKeysAndValuesSurviveSpillRoundTrip) {
+  PartitionedCollector store(StoreOptions(1));  // spill after every record
+  ASSERT_TRUE(store.Add("", "1").ok());
+  ASSERT_TRUE(store.Add("k", "").ok());
+  ASSERT_TRUE(store.Add("", "2").ok());
+  ASSERT_TRUE(store.Add("", "").ok());
+  EXPECT_GT(store.spill_count(), 0);
+  auto groups = store.FinishIterators();
   ASSERT_TRUE(groups.ok());
   std::string key;
   std::vector<std::string> values;
-  ASSERT_TRUE((*groups)->NextGroup(&key, &values));
+  ASSERT_TRUE((*groups)[0]->NextGroup(&key, &values));
   EXPECT_EQ(key, "");
   EXPECT_EQ(values, (std::vector<std::string>{"", "1", "2"}));
-  ASSERT_TRUE((*groups)->NextGroup(&key, &values));
+  ASSERT_TRUE((*groups)[0]->NextGroup(&key, &values));
   EXPECT_EQ(key, "k");
   EXPECT_EQ(values, (std::vector<std::string>{""}));
-  EXPECT_FALSE((*groups)->NextGroup(&key, &values));
-  EXPECT_TRUE((*groups)->status().ok());
+  EXPECT_FALSE((*groups)[0]->NextGroup(&key, &values));
+  EXPECT_TRUE((*groups)[0]->status().ok());
 }
 
 // ---- The job engine ----
@@ -412,36 +418,66 @@ TEST(DataMPIJobTest, RangePartitionedSortIsGloballyOrdered) {
   }
 }
 
-TEST(DataMPIJobTest, CheckpointRestartReproducesAOutput) {
-  TempDir dir("dmb-ckpt");
-  JobConfig config;
-  config.num_o_ranks = 2;
-  config.num_a_ranks = 3;
-  config.checkpoint_dir = dir.path().string();
-  DataMPIJob job(config);
-  auto a_fn = [](std::string_view key, const std::vector<std::string>& values,
-                 AEmitter* out) -> Status {
-    out->Emit(key, std::to_string(values.size()));
-    return Status::OK();
-  };
-  auto first = job.Run(
-      [](OContext* ctx) -> Status {
-        for (int i = 0; i < 50; ++i) {
-          DMB_RETURN_NOT_OK(ctx->Emit(NumberedKey("k", i % 7), "v"));
-        }
-        return Status::OK();
-      },
-      a_fn);
-  ASSERT_TRUE(first.ok()) << first.status();
+/// A function that shows the group it was handed: "<values>:<sum>", so
+/// a run that folds differently from another yields different output.
+Status CountAndSum(std::string_view key,
+                   const std::vector<std::string>& values, AEmitter* out) {
+  DMB_ASSIGN_OR_RETURN(const int64_t total,
+                       workloads::SumInt64(key, values));
+  std::string shown = std::to_string(values.size());
+  shown.append(":").append(std::to_string(total));
+  out->Emit(key, shown);
+  return Status::OK();
+}
 
-  // Restart the A phase only, from the persisted shuffle data.
-  auto second = job.RunFromCheckpoint(a_fn);
-  ASSERT_TRUE(second.ok()) << second.status();
-  auto sort_pairs = [](std::vector<KVPair> v) {
-    std::sort(v.begin(), v.end(), KVPairLess{});
-    return v;
-  };
-  EXPECT_EQ(sort_pairs(first->Merged()), sort_pairs(second->Merged()));
+/// The int64 sum as a DataMPI A function.
+Status SumValues(std::string_view key, const std::vector<std::string>& values,
+                 AEmitter* out) {
+  DMB_ASSIGN_OR_RETURN(const int64_t total,
+                       workloads::SumInt64(key, values));
+  out->Emit(key, shuffle::FormatInt64(total));
+  return Status::OK();
+}
+
+// The restart must rebuild the A side exactly as the first run did,
+// folding the checkpointed partials when the job declares a fold.
+TEST(DataMPIJobTest, CheckpointRestartReproducesAOutput) {
+  for (const bool folded : {false, true}) {
+    SCOPED_TRACE(folded ? "int64 sum fold" : "no combiner");
+    TempDir dir("dmb-ckpt");
+    JobConfig config;
+    config.num_o_ranks = 2;
+    config.num_a_ranks = 3;
+    config.checkpoint_dir = dir.path().string();
+    if (folded) {
+      config.combiner = workloads::Int64SumCombiner;
+      config.fold = shuffle::Fold::Int64Sum();
+    }
+    DataMPIJob job(config);
+    auto first = job.Run(
+        [](OContext* ctx) -> Status {
+          for (int i = 0; i < 50; ++i) {
+            DMB_RETURN_NOT_OK(ctx->Emit(NumberedKey("k", i % 7), "1"));
+          }
+          return Status::OK();
+        },
+        CountAndSum);
+    ASSERT_TRUE(first.ok()) << first.status();
+    std::map<std::string, std::string> shown;
+    for (const auto& kv : first->Merged()) shown[kv.key] = kv.value;
+    // Two O tasks emit k0 8 times each and every other key 7 times.
+    EXPECT_EQ(shown["k0"], folded ? "1:16" : "16:16");
+    EXPECT_EQ(shown["k1"], folded ? "1:14" : "14:14");
+
+    // Restart the A phase only, from the persisted shuffle data.
+    auto second = job.RunFromCheckpoint(CountAndSum);
+    ASSERT_TRUE(second.ok()) << second.status();
+    auto sort_pairs = [](std::vector<KVPair> v) {
+      std::sort(v.begin(), v.end(), KVPairLess{});
+      return v;
+    };
+    EXPECT_EQ(sort_pairs(first->Merged()), sort_pairs(second->Merged()));
+  }
 }
 
 TEST(DataMPIJobTest, CorruptCheckpointFailsRestartWithChecksumError) {
@@ -509,6 +545,49 @@ TEST(DataMPIJobTest, SpillingJobStillProducesCorrectOutput) {
   int64_t total = 0;
   for (const auto& kv : result->Merged()) total += std::stoll(kv.value);
   EXPECT_EQ(total, 4000);
+}
+
+// Small send buffers ship many folded batches, and a small A budget
+// drains the A-side fold table many times; neither may change a byte
+// of the combiner-only job's output.
+TEST(DataMPIJobTest, FoldedSmallBatchesMatchTheCombinerByteForByte) {
+  auto run = [](bool folded, int64_t a_budget) {
+    JobConfig config;
+    config.num_o_ranks = 2;
+    config.num_a_ranks = 3;
+    config.send_buffer_bytes = 1024;
+    config.a_memory_budget_bytes = a_budget;
+    config.combiner = workloads::Int64SumCombiner;
+    if (folded) config.fold = shuffle::Fold::Int64Sum();
+    DataMPIJob job(config);
+    return job.Run(
+        [](OContext* ctx) -> Status {
+          Rng rng(static_cast<uint64_t>(31 + ctx->task_id()));
+          for (int i = 0; i < 6000; ++i) {
+            const int64_t weight = rng.Uniform(2) == 0
+                                       ? 1
+                                       : static_cast<int64_t>(rng.Uniform(
+                                             1000000000000ULL));
+            DMB_RETURN_NOT_OK(ctx->Emit(
+                NumberedKey("key-", static_cast<int64_t>(rng.Uniform(500))),
+                std::to_string(weight)));
+          }
+          return Status::OK();
+        },
+        SumValues);
+  };
+  for (const int64_t a_budget : {int64_t{64} << 20, int64_t{2048}}) {
+    SCOPED_TRACE("A budget " + std::to_string(a_budget));
+    auto want = run(/*folded=*/false, a_budget);
+    ASSERT_TRUE(want.ok()) << want.status();
+    auto got = run(/*folded=*/true, a_budget);
+    ASSERT_TRUE(got.ok()) << got.status();
+    EXPECT_GT(got->stats.shuffle_batches, 20) << "must ship many batches";
+    if (a_budget < 4096) {
+      EXPECT_GT(got->stats.a_spill_count, 3) << "must drain many times";
+    }
+    EXPECT_EQ(got->a_outputs, want->a_outputs);
+  }
 }
 
 TEST(DataMPIJobTest, OTaskErrorPropagates) {

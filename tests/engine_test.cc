@@ -158,38 +158,56 @@ TEST(EngineRunTest, IdenticalGroupedOutputAndPopulatedStats) {
 // A declared fold is a faster way to the combiner's result, never a
 // different one: with unit counts and with multi-digit weights, every
 // engine's partitions must be the same bytes as with the combiner alone
-// (rddlite hash-aggregates; DataMPI and MapReduce ignore the fold).
+// (rddlite hash-aggregates on the map side; DataMPI folds its O-side
+// send buffers and its A-side store; MapReduce combines in its sorted
+// spills either way). Spilling on every record and a small budget make
+// DataMPI's A-side fold table drain many times.
 TEST(EngineRunTest, DeclaredFoldMatchesThePlainCombinerByteForByte) {
   const auto lines = RandomLines(/*seed=*/77, /*n=*/600);
+  enum class Memory { kDefault, kAlwaysSpill, kSmallBudget };
   for (const auto& info : Engines()) {
     for (const int parallelism : {1, 3}) {
-      for (const bool weighted : {false, true}) {
-        JobSpec plain = CountingSpec(lines);
-        plain.parallelism = parallelism;
-        if (weighted) {
-          // Each word counts with its line's length.
-          plain.map_fn = [](std::string_view, std::string_view line,
-                            MapContext* ctx) -> Status {
-            const std::string weight = std::to_string(line.size());
-            Status st;
-            workloads::ForEachToken(line, [&](std::string_view tok) {
-              if (st.ok()) st = ctx->Emit(tok, weight);
-            });
-            return st;
-          };
+      for (const Memory memory :
+           {Memory::kDefault, Memory::kAlwaysSpill, Memory::kSmallBudget}) {
+        for (const bool weighted : {false, true}) {
+          JobSpec plain = CountingSpec(lines);
+          plain.parallelism = parallelism;
+          if (memory == Memory::kAlwaysSpill) {
+            plain.spill = SpillPolicy::kAlwaysSpill;
+          } else if (memory == Memory::kSmallBudget) {
+            plain.memory_budget_bytes = 2048;
+            plain.rdd_shuffle_spill = true;  // rddlite spills, not OOMs
+          }
+          if (weighted) {
+            // Each word counts with its line's length.
+            plain.map_fn = [](std::string_view, std::string_view line,
+                              MapContext* ctx) -> Status {
+              const std::string weight = std::to_string(line.size());
+              Status st;
+              workloads::ForEachToken(line, [&](std::string_view tok) {
+                if (st.ok()) st = ctx->Emit(tok, weight);
+              });
+              return st;
+            };
+          }
+          JobSpec folded = plain;
+          folded.fold = shuffle::Fold::Int64Sum();
+          auto want = info.make()->Run(plain);
+          ASSERT_TRUE(want.ok()) << info.name << ": " << want.status();
+          auto got = info.make()->Run(folded);
+          ASSERT_TRUE(got.ok()) << info.name << ": " << got.status();
+          EXPECT_EQ(got->partitions, want->partitions)
+              << info.name << " parallelism " << parallelism << " weighted "
+              << weighted << " memory " << static_cast<int>(memory);
+          EXPECT_EQ(got->stats.map_output_records,
+                    want->stats.map_output_records)
+              << info.name;
+          if (std::string_view(info.name) == "datampi" &&
+              memory == Memory::kSmallBudget) {
+            // At least five drains per A task.
+            EXPECT_GE(got->stats.spill_count, 5 * parallelism) << info.name;
+          }
         }
-        JobSpec folded = plain;
-        folded.fold = shuffle::Fold::Int64Sum();
-        auto want = info.make()->Run(plain);
-        ASSERT_TRUE(want.ok()) << info.name << ": " << want.status();
-        auto got = info.make()->Run(folded);
-        ASSERT_TRUE(got.ok()) << info.name << ": " << got.status();
-        EXPECT_EQ(got->partitions, want->partitions)
-            << info.name << " parallelism " << parallelism << " weighted "
-            << weighted;
-        EXPECT_EQ(got->stats.map_output_records,
-                  want->stats.map_output_records)
-            << info.name;
       }
     }
   }

@@ -104,18 +104,31 @@ TEST(Int64SumTest, FormsAgreeAndRejectBadValuesNamingTheKey) {
 
 // A count that is not a number used to throw out of std::stoll on a
 // worker thread (std::terminate); every engine must fail the job
-// cleanly instead, rddlite through its fold, DataMPI and MapReduce
+// cleanly instead. rddlite and DataMPI fail through their folds (DataMPI
+// on the O side for a bad value or a task's own overflow, on the A side
+// when only the total of two tasks' partials overflows), MapReduce
 // through the reduce.
 TEST(Int64SumTest, NonDecimalOrOverflowingCountsFailTheJobCleanly) {
-  for (const std::string& bad_value :
-       {std::string("x"), std::string("9223372036854775807")}) {
+  const std::string max = "9223372036854775807";
+  // With parallelism 2 the first input gives the second task two 'a's;
+  // the second gives each task one, so only the total overflows.
+  const std::vector<std::string> one_task_overflows = {"a b", "b c", "c a",
+                                                       "a"};
+  const std::vector<std::string> only_the_total_overflows = {"a b", "b c",
+                                                             "c a", "d"};
+  const std::vector<std::pair<std::string, std::vector<std::string>>> cases =
+      {{"x", one_task_overflows},
+       {max, one_task_overflows},
+       {max, only_the_total_overflows}};
+  for (const auto& [bad_value, lines] : cases) {
     for (const auto& info : engine::Engines()) {
       engine::JobSpec spec;
       spec.parallelism = 2;
-      spec.input = engine::LinesAsInput({"a b", "b c", "c a", "a"});
+      spec.input = engine::LinesAsInput(lines);
       UseInt64Sum(&spec);
-      spec.map_fn = [bad_value](std::string_view, std::string_view line,
-                                engine::MapContext* ctx) -> Status {
+      spec.map_fn = [bad_value = bad_value](std::string_view,
+                                            std::string_view line,
+                                            engine::MapContext* ctx) -> Status {
         Status st;
         ForEachToken(line, [&](std::string_view tok) {
           if (st.ok()) st = ctx->Emit(tok, tok == "a" ? bad_value : "1");
