@@ -19,6 +19,7 @@
 #include "datagen/codec.h"
 #include "datagen/text_generator.h"
 #include "engine/registry.h"
+#include "io/crc32.h"
 #include "mpilite/mpilite.h"
 #include "shuffle/collector.h"
 #include "shuffle/kv_arena.h"
@@ -144,6 +145,17 @@ void BM_LzDecompress(benchmark::State& state) {
                           state.range(0));
 }
 BENCHMARK(BM_LzDecompress)->Arg(64 << 10)->Arg(1 << 20);
+
+/// The checksum every spill block and run-file footer carries.
+void BM_Crc32(benchmark::State& state) {
+  const std::string corpus = MakeCorpus(state.range(0));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(io::Crc32(corpus));
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          state.range(0));
+}
+BENCHMARK(BM_Crc32)->Arg(64 << 10);
 
 void BM_MakeKeyPrefix(benchmark::State& state) {
   Rng rng(7);

@@ -9,12 +9,15 @@
 # the stage scheduler are the tree's heavily concurrent structures),
 # then build every bench binary explicitly (build-only; no long
 # benchmark runs) and diff the JSON bench harnesses against the
-# committed BENCH_*.json baselines.
+# committed BENCH_*.json baselines. Every build passes -j "$(nproc)":
+# a bare -j starts an unbounded number of compiler jobs.
 #
 # Usage: scripts/check.sh        (no arguments; knobs via environment)
 #
-#   CHECK_ASAN=1      also build the io/shuffle/engine/core/runtime
-#                     tests under AddressSanitizer and run them.
+#   CHECK_ASAN=1      also build the io/shuffle/engine/core/runtime/
+#                     datagen tests under AddressSanitizer and run them
+#                     (datagen_test covers the LZ decoder, which writes
+#                     through raw pointers into a presized buffer).
 #   CHECK_NO_LINT=1   skip the project lint gate (scripts/lint.py) and
 #                     its self-test.
 #   CHECK_TIDY=1      also run clang-tidy (curated .clang-tidy profile)
@@ -48,7 +51,7 @@ fi
 # would turn them into -Werror failures the default RelWithDebInfo
 # (-O2) build never sees.
 cmake -B build -S . -DDMB_WERROR=ON -DCMAKE_BUILD_TYPE=RelWithDebInfo
-cmake --build build -j
+cmake --build build -j "$(nproc)"
 (cd build && ctest --output-on-failure -j)
 
 # The spill I/O layer does enough byte-twiddling (varints, checksums,
@@ -78,7 +81,7 @@ cmake --build build -j
 # not).
 echo "check.sh: UBSan pass (io + shuffle + runtime + datagen + service + cache + validate + workloads + core tests)"
 cmake -B build-ubsan -S . -DDMB_SANITIZE=undefined -DDMB_WERROR=ON -DDMB_VALIDATE=ON
-cmake --build build-ubsan -j --target io_test shuffle_test runtime_test datagen_test service_test cache_test validate_test workloads_test core_test
+cmake --build build-ubsan -j "$(nproc)" --target io_test shuffle_test runtime_test datagen_test service_test cache_test validate_test workloads_test core_test
 (cd build-ubsan && ctest --output-on-failure -R '^(io|shuffle|runtime|datagen|service|cache|validate|workloads|core)_test$')
 
 # The pipelined narrow edges run a bounded producer/consumer channel
@@ -92,7 +95,7 @@ cmake --build build-ubsan -j --target io_test shuffle_test runtime_test datagen_
 # UBSan note above).
 echo "check.sh: TSan pass (shuffle + io + runtime + service + cache + rddlite + validate + core tests)"
 cmake -B build-tsan -S . -DDMB_SANITIZE=thread -DDMB_WERROR=ON -DDMB_VALIDATE=ON
-cmake --build build-tsan -j --target shuffle_test io_test runtime_test service_test cache_test rddlite_test validate_test core_test
+cmake --build build-tsan -j "$(nproc)" --target shuffle_test io_test runtime_test service_test cache_test rddlite_test validate_test core_test
 (cd build-tsan && ctest --output-on-failure -R '^(shuffle|io|runtime|service|cache|rddlite|validate|core)_test$')
 
 # Clang's -Wthread-safety is what actually checks the DMB_GUARDED_BY /
@@ -101,7 +104,7 @@ cmake --build build-tsan -j --target shuffle_test io_test runtime_test service_t
 if command -v clang++ > /dev/null 2>&1; then
   echo "check.sh: clang -Wthread-safety pass (library + tests)"
   cmake -B build-clang -S . -DCMAKE_CXX_COMPILER=clang++ -DDMB_WERROR=ON
-  cmake --build build-clang -j --target dmb_core validate_test runtime_test
+  cmake --build build-clang -j "$(nproc)" --target dmb_core validate_test runtime_test
 else
   echo "check.sh: clang++ not found; skipping -Wthread-safety pass" \
        "(annotations are still lint-checked and TSan-covered)"
@@ -169,10 +172,13 @@ if [ "${CHECK_NO_BENCH:-0}" != "1" ]; then
 fi
 
 if [ "${CHECK_ASAN:-0}" = "1" ]; then
-  echo "check.sh: ASan pass (io + shuffle + engine + core + runtime + service + validate tests)"
+  # datagen_test joins this pass: the LZ encoder and decoder write
+  # through raw pointers into presized buffers, and its hand-made
+  # streams drive the decoder's over-length literal and match paths.
+  echo "check.sh: ASan pass (io + shuffle + engine + core + runtime + service + validate + datagen tests)"
   cmake -B build-asan -S . -DDMB_ASAN=ON -DDMB_WERROR=ON -DDMB_VALIDATE=ON
-  cmake --build build-asan -j --target io_test shuffle_test engine_test core_test runtime_test service_test validate_test
-  (cd build-asan && ctest --output-on-failure -R '^(io|shuffle|engine|core|runtime|service|validate)_test$')
+  cmake --build build-asan -j "$(nproc)" --target io_test shuffle_test engine_test core_test runtime_test service_test validate_test datagen_test
+  (cd build-asan && ctest --output-on-failure -R '^(io|shuffle|engine|core|runtime|service|validate|datagen)_test$')
 fi
 
 echo "check.sh: all green"

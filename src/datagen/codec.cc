@@ -1,6 +1,7 @@
 #include "datagen/codec.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 #include <vector>
 
@@ -18,6 +19,9 @@ constexpr int kMaxProbes = 4;
 /// After 1 << kSkipShift consecutive positions without a match the scan
 /// step starts growing, so incompressible regions cost ~O(n / step).
 constexpr size_t kSkipShift = 6;
+/// Literal runs and matches up to this long decode with one fixed-size
+/// copy when input and output have that much room left.
+constexpr size_t kShortCopy = 16;
 
 inline uint32_t Read32(const char* p) {
   uint32_t v;
@@ -29,43 +33,75 @@ inline uint32_t HashPrefix(uint32_t v) {
   return (v * 2654435761u) >> (32 - kHashBits);
 }
 
-void EmitLength(std::string* out, size_t len) {
+// Both emitters write through `op` and return the advanced cursor; the
+// caller has sized the buffer to LzCompressBound, so no bounds checks.
+char* EmitLength(char* op, size_t len) {
   while (len >= 255) {
-    out->push_back(static_cast<char>(0xFF));
+    *op++ = static_cast<char>(0xFF);
     len -= 255;
   }
-  out->push_back(static_cast<char>(len));
+  *op++ = static_cast<char>(len);
+  return op;
 }
 
-// Emits one sequence: literals [lit_begin, lit_end) followed by a match of
-// `match_len` at `offset` (match_len == 0 for the terminal literal run).
-void EmitSequence(std::string* out, const char* lit_begin, size_t lit_len,
-                  size_t match_len, size_t offset) {
+// Emits one sequence: literals [lit_begin, lit_begin + lit_len) followed
+// by a match of `match_len` at `offset` (match_len == 0 for the terminal
+// literal run).
+char* EmitSequence(char* op, const char* lit_begin, size_t lit_len,
+                   size_t match_len, size_t offset) {
   const size_t lit_token = lit_len < 15 ? lit_len : 15;
   size_t match_code = 0;
   if (match_len > 0) {
     match_code = match_len - kMinMatch;
   }
   const size_t match_token = match_code < 15 ? match_code : 15;
-  out->push_back(static_cast<char>((lit_token << 4) | match_token));
-  if (lit_token == 15) EmitLength(out, lit_len - 15);
-  out->append(lit_begin, lit_len);
+  *op++ = static_cast<char>((lit_token << 4) | match_token);
+  if (lit_token == 15) op = EmitLength(op, lit_len - 15);
+  std::memcpy(op, lit_begin, lit_len);
+  op += lit_len;
   if (match_len > 0) {
-    out->push_back(static_cast<char>(offset & 0xFF));
-    out->push_back(static_cast<char>((offset >> 8) & 0xFF));
-    if (match_token == 15) EmitLength(out, match_code - 15);
+    *op++ = static_cast<char>(offset & 0xFF);
+    *op++ = static_cast<char>((offset >> 8) & 0xFF);
+    if (match_token == 15) op = EmitLength(op, match_code - 15);
   }
+  return op;
+}
+
+// Length of the common run of a[0..] and b[0..], at most `limit` bytes.
+// On little-endian hosts the first differing byte of two 8-byte words is
+// the lowest set bit of their XOR; elsewhere (and for the last < 8 bytes)
+// it compares byte by byte.
+inline size_t CommonLength(const char* a, const char* b, size_t limit) {
+  size_t len = 0;
+  if constexpr (std::endian::native == std::endian::little) {
+    while (len + 8 <= limit) {
+      uint64_t wa;
+      uint64_t wb;
+      std::memcpy(&wa, a + len, 8);
+      std::memcpy(&wb, b + len, 8);
+      if (const uint64_t diff = wa ^ wb; diff != 0) {
+        return len + (static_cast<size_t>(std::countr_zero(diff)) >> 3);
+      }
+      len += 8;
+    }
+  }
+  while (len < limit && a[len] == b[len]) ++len;
+  return len;
 }
 
 }  // namespace
 
 void LzCompressor::Compress(std::string_view input, std::string* out) {
-  out->clear();
-  out->reserve(input.size() / 2 + 16);
   const char* base = input.data();
   const size_t n = input.size();
+  // resize() only fills the bytes past the old size, so a reused `out`
+  // pays almost nothing to be presized.
+  out->resize(LzCompressBound(n));
+  char* const dst = out->data();
+  char* op = dst;
   if (n < kMinMatch + 4) {
-    EmitSequence(out, base, n, 0, 0);
+    op = EmitSequence(op, base, n, 0, 0);
+    out->resize(static_cast<size_t>(op - dst));
     return;
   }
 
@@ -98,10 +134,8 @@ void LzCompressor::Compress(std::string_view input, std::string* out) {
       const size_t cpos = static_cast<size_t>(cand);
       if (pos - cpos > kMaxOffset) break;
       if (Read32(base + cpos) == seq) {
-        size_t len = 4;
-        while (pos + len < n && base[cpos + len] == base[pos + len]) {
-          ++len;
-        }
+        const size_t len =
+            4 + CommonLength(base + cpos + 4, base + pos + 4, n - pos - 4);
         if (len > best_len) {
           best_len = len;
           best_off = pos - cpos;
@@ -111,7 +145,7 @@ void LzCompressor::Compress(std::string_view input, std::string* out) {
     }
 
     if (best_len >= kMinMatch) {
-      EmitSequence(out, base + anchor, pos - anchor, best_len, best_off);
+      op = EmitSequence(op, base + anchor, pos - anchor, best_len, best_off);
       pos += best_len;
       anchor = pos;
       misses = 0;
@@ -121,7 +155,8 @@ void LzCompressor::Compress(std::string_view input, std::string* out) {
       pos += 1 + (misses++ >> kSkipShift);
     }
   }
-  EmitSequence(out, base + anchor, n - anchor, 0, 0);
+  op = EmitSequence(op, base + anchor, n - anchor, 0, 0);
+  out->resize(static_cast<size_t>(op - dst));
 }
 
 std::string LzCompress(std::string_view input) {
@@ -139,10 +174,16 @@ Result<std::string> LzDecompress(std::string_view input,
 }
 
 Status LzDecompressInto(std::string_view input, size_t decompressed_size,
-                        std::string* out_ptr) {
-  std::string& out = *out_ptr;
-  out.clear();
-  out.reserve(decompressed_size);
+                        std::string* out) {
+  // Sized up front and written through a pointer; every literal run and
+  // match is checked against the declared size before it is copied.
+  // Short runs and matches (the common case on text) copy a fixed
+  // kShortCopy bytes, which compiles to a pair of 8-byte moves instead
+  // of a memcpy call. The bytes past the run stay inside the presized
+  // output, and the next sequence overwrites them.
+  out->resize(decompressed_size);
+  char* const dst = out->data();
+  size_t op = 0;
   size_t ip = 0;
   const size_t in_size = input.size();
   auto read_length = [&](size_t initial) -> Result<size_t> {
@@ -161,10 +202,19 @@ Status LzDecompressInto(std::string_view input, size_t decompressed_size,
   while (ip < in_size) {
     const uint8_t token = static_cast<uint8_t>(input[ip++]);
     DMB_ASSIGN_OR_RETURN(size_t lit_len, read_length(token >> 4));
-    if (ip + lit_len > in_size) {
+    if (lit_len > in_size - ip) {
       return Status::Corruption("literal run past end of input");
     }
-    out.append(input.data() + ip, lit_len);
+    if (lit_len > decompressed_size - op) {
+      return Status::Corruption("literal run past decompressed size");
+    }
+    if (lit_len <= kShortCopy && in_size - ip >= kShortCopy &&
+        decompressed_size - op >= kShortCopy) {
+      std::memcpy(dst + op, input.data() + ip, kShortCopy);
+    } else {
+      std::memcpy(dst + op, input.data() + ip, lit_len);
+    }
+    op += lit_len;
     ip += lit_len;
     if (ip >= in_size) break;  // terminal sequence has no match
     if (ip + 2 > in_size) return Status::Corruption("truncated offset");
@@ -175,18 +225,28 @@ Status LzDecompressInto(std::string_view input, size_t decompressed_size,
     ip += 2;
     DMB_ASSIGN_OR_RETURN(size_t match_code, read_length(token & 0xF));
     const size_t match_len = match_code + kMinMatch;
-    if (offset == 0 || offset > out.size()) {
+    if (offset == 0 || offset > op) {
       return Status::Corruption("invalid match offset");
     }
-    // Byte-by-byte copy: overlapping matches are legal (RLE-style).
-    size_t from = out.size() - offset;
-    for (size_t i = 0; i < match_len; ++i) {
-      out.push_back(out[from + i]);
+    if (match_len > decompressed_size - op) {
+      return Status::Corruption("match past decompressed size");
     }
+    const char* from = dst + op - offset;
+    char* to = dst + op;
+    if (match_len <= kShortCopy && offset >= kShortCopy &&
+        decompressed_size - op >= kShortCopy) {
+      std::memcpy(to, from, kShortCopy);
+    } else if (offset >= match_len) {
+      std::memcpy(to, from, match_len);
+    } else {
+      // Overlapping (RLE-style) match: each byte may be one just written.
+      for (size_t i = 0; i < match_len; ++i) to[i] = from[i];
+    }
+    op += match_len;
   }
-  if (out.size() != decompressed_size) {
+  if (op != decompressed_size) {
     return Status::Corruption("decompressed size mismatch: got " +
-                              std::to_string(out.size()) + " expected " +
+                              std::to_string(op) + " expected " +
                               std::to_string(decompressed_size));
   }
   return Status::OK();

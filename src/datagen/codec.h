@@ -7,6 +7,7 @@
 #ifndef DATAMPI_BENCH_DATAGEN_CODEC_H_
 #define DATAMPI_BENCH_DATAGEN_CODEC_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -16,6 +17,17 @@
 
 namespace dmb::datagen {
 
+/// \brief Largest output LzCompressor::Compress can produce for `n`
+/// input bytes. A sequence ending in a match of m >= 4 bytes writes a
+/// token, a 2-byte offset, one match-length byte per 255 of m - 19 (plus
+/// one once m >= 19), its literals, and one literal-length byte per 255
+/// of lit_len - 15 (plus one once lit_len >= 15): at most
+/// lit_len + lit_len/255 bytes for lit_len + m input bytes. The terminal
+/// literal run has no match to pay for its token and first length byte,
+/// so it adds at most 2 more. Summed over all sequences the output stays
+/// within n + n/255 + 2.
+constexpr size_t LzCompressBound(size_t n) { return n + n / 255 + 2; }
+
 /// \brief Stateful compressor that reuses its match-finder arrays
 /// (hash heads + chain links) across calls — the form a block writer
 /// holds for the lifetime of one stream, so compressing N blocks costs
@@ -24,9 +36,9 @@ namespace dmb::datagen {
 /// incompressible regions. Output decodes with LzDecompress.
 class LzCompressor {
  public:
-  /// \brief Compresses `input` into `out` (cleared first, capacity
-  /// reused). Output grows by at most ~input/255 + 16 bytes for
-  /// incompressible data.
+  /// \brief Compresses `input` into `out` (replaced, capacity reused).
+  /// `out` is presized to LzCompressBound(input.size()), written
+  /// through a pointer, then shrunk to the bytes written.
   void Compress(std::string_view input, std::string* out);
 
  private:
@@ -42,8 +54,11 @@ std::string LzCompress(std::string_view input);
 Result<std::string> LzDecompress(std::string_view input,
                                  size_t decompressed_size);
 
-/// \brief Decompresses into `out` (cleared first), reusing its capacity
-/// — the allocation-free form for hot loops decoding many blocks.
+/// \brief Decompresses into `out` (resized to `decompressed_size`),
+/// reusing its capacity — the allocation-free form for hot loops
+/// decoding many blocks. A literal run or match that would pass
+/// `decompressed_size` is Corruption before anything is written for it;
+/// on any error the contents of `out` are unspecified.
 Status LzDecompressInto(std::string_view input, size_t decompressed_size,
                         std::string* out);
 

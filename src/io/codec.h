@@ -53,7 +53,7 @@ class Compressor {
 };
 
 /// \brief Decompresses `input` into exactly `raw_len` bytes, written to
-/// `out` (cleared first, capacity reused — no steady-state allocation
+/// `out` (replaced, capacity reused — no steady-state allocation
 /// when decoding many blocks into one buffer); Corruption when the
 /// payload doesn't decode to that size.
 Status Decompress(Codec codec, std::string_view input, size_t raw_len,

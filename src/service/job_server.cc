@@ -262,10 +262,13 @@ void JobServer::ReaperLoop() {
       continue;
     }
     const Clock::time_point now = Clock::now();
-    if (deadlines_.top().first > now) {
+    // A copy: wait_until reads its deadline again after waking, and a
+    // Submit during the wait may reallocate the heap under top().
+    const Clock::time_point next = deadlines_.top().first;
+    if (next > now) {
       // Timed wait: never registered with the WaitGraph (it cannot be
       // part of a deadlock — it wakes on its own).
-      reaper_cv_.WaitUntil(mu_, deadlines_.top().first);
+      reaper_cv_.WaitUntil(mu_, next);
       continue;
     }
     // Collect expired running jobs' tokens; fire them outside the lock.

@@ -3,8 +3,12 @@
 // the K-means / Naive Bayes generators.
 
 #include <algorithm>
+#include <cstdint>
 #include <map>
+#include <random>
 #include <set>
+#include <string>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -14,6 +18,7 @@
 #include "datagen/seqfile.h"
 #include "datagen/text_generator.h"
 #include "datagen/vectors.h"
+#include "io/crc32.h"
 
 namespace dmb::datagen {
 namespace {
@@ -271,6 +276,146 @@ TEST(CodecTest, StepSkipRegionsRoundTrip) {
   EXPECT_EQ(*out, input);
   // The repetitive segments still found their matches.
   EXPECT_LT(compressed.size(), input.size());
+}
+
+// Compresses `input` in 64 KiB blocks through one LzCompressor (the
+// block writer's usage) and returns the total compressed size and a
+// CRC-32 of the concatenated output.
+std::pair<size_t, uint32_t> CompressInBlocks(const std::string& input) {
+  constexpr size_t kBlock = 64 << 10;
+  LzCompressor compressor;
+  std::string out;
+  size_t total = 0;
+  uint32_t crc = 0;
+  for (size_t at = 0; at < input.size(); at += kBlock) {
+    const std::string_view block =
+        std::string_view(input).substr(at, kBlock);
+    compressor.Compress(block, &out);
+    EXPECT_LE(out.size(), LzCompressBound(block.size()));
+    total += out.size();
+    crc = io::Crc32(out, crc);
+  }
+  return {total, crc};
+}
+
+TEST(CodecTest, EncoderOutputIsPinned) {
+  // The spill files' bytes on disk are the encoder's output, so any
+  // change to the match finder (candidate order, tie-break, skip
+  // stride, hash) must show here rather than as a silent shift in
+  // io.spill_bytes_on_disk. The constants were recorded from the
+  // byte-at-a-time encoder this one replaced.
+  TextGenOptions options;
+  options.seed = 1;
+  TextGenerator gen(options);
+  const std::string text = gen.GenerateText(256 << 10);
+
+  std::mt19937_64 rng(42);
+  std::string random_bytes(256 << 10, '\0');
+  for (char& c : random_bytes) c = static_cast<char>(rng() & 0xFF);
+
+  // Runs of one byte, 1 to 300 long, with a literal burst every so often.
+  std::string runs;
+  while (runs.size() < (256u << 10)) {
+    const uint64_t r = rng();
+    if (r % 8 == 0) {
+      for (int i = 0; i < 12; ++i) runs.push_back(static_cast<char>(rng()));
+    } else {
+      runs.append(1 + (r >> 8) % 300, static_cast<char>('a' + (r >> 20) % 4));
+    }
+  }
+
+  const auto [text_size, text_crc] = CompressInBlocks(text);
+  EXPECT_EQ(text.size(), 262218u);
+  EXPECT_EQ(text_size, 175269u);
+  EXPECT_EQ(text_crc, 0x18C8AF61u);
+  const auto [random_size, random_crc] = CompressInBlocks(random_bytes);
+  EXPECT_EQ(random_size, 263176u);
+  EXPECT_EQ(random_crc, 0x5DA478DBu);
+  const auto [runs_size, runs_crc] = CompressInBlocks(runs);
+  EXPECT_EQ(runs.size(), 262270u);
+  EXPECT_EQ(runs_size, 9483u);
+  EXPECT_EQ(runs_crc, 0xF82B8AC2u);
+}
+
+TEST(CodecTest, WorstCaseOutputStaysWithinTheBound) {
+  // Incompressible input is all literals: one token and one length byte
+  // per 255 bytes past the first 15, the largest output there is.
+  std::mt19937_64 rng(5);
+  for (size_t n : {size_t{0}, size_t{1}, size_t{7}, size_t{8}, size_t{14},
+                   size_t{15}, size_t{269}, size_t{270}, size_t{4096},
+                   size_t{65536}}) {
+    std::string input(n, '\0');
+    for (char& c : input) c = static_cast<char>(rng() & 0xFF);
+    const std::string compressed = LzCompress(input);
+    EXPECT_LE(compressed.size(), LzCompressBound(n)) << n;
+    auto out = LzDecompress(compressed, n);
+    ASSERT_TRUE(out.ok()) << out.status();
+    EXPECT_EQ(*out, input);
+  }
+}
+
+// Decodes a hand-made stream into a fresh string and checks that the
+// decoder wrote nothing past `declared`: the terminating NUL std::string
+// keeps at data()[size()] is the first byte an overrun would hit.
+Status DecodeChecked(const std::string& stream, size_t declared,
+                     std::string* out) {
+  Status st = LzDecompressInto(stream, declared, out);
+  EXPECT_EQ(out->size(), declared);
+  EXPECT_EQ(out->data()[declared], '\0');
+  return st;
+}
+
+TEST(CodecTest, LiteralRunPastDeclaredSizeIsCorruption) {
+  // Token: 5 literals, no match.
+  const std::string stream = std::string("\x50", 1) + "abcde";
+  std::string out;
+  const Status st = DecodeChecked(stream, 3, &out);
+  EXPECT_EQ(st.code(), StatusCode::kCorruption) << st;
+  EXPECT_NE(st.ToString().find("literal run past decompressed size"),
+            std::string::npos)
+      << st;
+  // A 40-literal run (length byte 25) against a heap-sized buffer.
+  const std::string long_run =
+      std::string("\xF0\x19", 2) + std::string(40, 'x');
+  EXPECT_TRUE(DecodeChecked(long_run, 40, &out).ok());
+  EXPECT_EQ(DecodeChecked(long_run, 39, &out).code(),
+            StatusCode::kCorruption);
+}
+
+TEST(CodecTest, MatchPastDeclaredSizeIsCorruption) {
+  // "abcd", then a 4-byte match at offset 4.
+  const std::string stream = std::string("\x40", 1) + "abcd" +
+                             std::string("\x04\x00", 2);
+  std::string out;
+  ASSERT_TRUE(DecodeChecked(stream, 8, &out).ok());
+  EXPECT_EQ(out, "abcdabcd");
+  const Status st = DecodeChecked(stream, 6, &out);
+  EXPECT_EQ(st.code(), StatusCode::kCorruption) << st;
+  EXPECT_NE(st.ToString().find("match past decompressed size"),
+            std::string::npos)
+      << st;
+  // A match whose length bytes claim 4 + 15 + 255 + 255 + 16 = 545 bytes.
+  const std::string long_match = std::string("\x4F", 1) + "abcd" +
+                                 std::string("\x01\x00\xFF\xFF\x10", 5);
+  EXPECT_TRUE(DecodeChecked(long_match, 549, &out).ok());
+  EXPECT_EQ(DecodeChecked(long_match, 100, &out).code(),
+            StatusCode::kCorruption);
+}
+
+TEST(CodecTest, OverlappingOffsetOneMatchDecodesAsARun) {
+  // "a", then a match at offset 1 of 4 + 15 + 81 = 100 bytes (each byte
+  // copies the one just written), then the terminal literals "bc".
+  const std::string stream = std::string("\x1F", 1) + "a" +
+                             std::string("\x01\x00\x51", 3) +
+                             std::string("\x20", 1) + "bc";
+  std::string out;
+  ASSERT_TRUE(DecodeChecked(stream, 103, &out).ok());
+  EXPECT_EQ(out, std::string(101, 'a') + "bc");
+  // Offset 3 over a 10-byte match: a repeating three-byte pattern.
+  const std::string pattern = std::string("\x36", 1) + "xyz" +
+                              std::string("\x03\x00", 2);
+  ASSERT_TRUE(DecodeChecked(pattern, 13, &out).ok());
+  EXPECT_EQ(out, "xyzxyzxyzxyzx");
 }
 
 TEST(CodecTest, FrameFormatRoundTrip) {

@@ -91,6 +91,47 @@ TEST(Crc32Test, KnownVectorAndChunking) {
   EXPECT_EQ(Crc32(data.substr(4), Crc32(data.substr(0, 4))), Crc32(data));
 }
 
+// Bit-at-a-time CRC-32 (reflected IEEE polynomial), the definition the
+// table-driven Crc32 must agree with.
+uint32_t ReferenceCrc32(const unsigned char* p, size_t len) {
+  uint32_t c = 0xFFFFFFFFu;
+  for (size_t i = 0; i < len; ++i) {
+    c ^= p[i];
+    for (int k = 0; k < 8; ++k) c = (c >> 1) ^ (0xEDB88320u & (0u - (c & 1)));
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+TEST(Crc32Test, MatchesBitwiseReferenceAtEveryLengthAndAlignment) {
+  Rng rng(21);
+  std::vector<unsigned char> buf(8 + 130);
+  for (unsigned char& b : buf) b = static_cast<unsigned char>(rng.Next64());
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t len = 0; len <= 130; ++len) {
+      EXPECT_EQ(Crc32(buf.data() + offset, len),
+                ReferenceCrc32(buf.data() + offset, len))
+          << "offset " << offset << " len " << len;
+    }
+  }
+}
+
+TEST(Crc32Test, RandomChunkSplitsEqualTheWhole) {
+  Rng rng(22);
+  std::string data(10000, '\0');
+  for (char& c : data) c = static_cast<char>(rng.Next64());
+  const uint32_t whole = Crc32(data);
+  for (int trial = 0; trial < 50; ++trial) {
+    uint32_t crc = 0;
+    size_t at = 0;
+    while (at < data.size()) {
+      const size_t len = std::min(data.size() - at, rng.Uniform(40));
+      crc = Crc32(std::string_view(data).substr(at, len), crc);
+      at += len;
+    }
+    EXPECT_EQ(crc, whole) << "trial " << trial;
+  }
+}
+
 TEST(CodecTest, NamesRoundTrip) {
   for (Codec codec : {Codec::kNone, Codec::kLz}) {
     auto parsed = ParseCodec(CodecName(codec));
